@@ -3,13 +3,13 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all verify ci build fmt-check vet test race race-all faultinject fuzz-smoke bench-smoke cover bench bench-json obs-bench harness examples clean
+.PHONY: all verify ci build fmt-check vet test race race-all faultinject fuzz-smoke bench-smoke bench-test bench-e2e cover bench bench-json obs-bench harness examples clean
 
 all: build vet test faultinject race
 
 # verify is the one-stop pre-merge gate and the single source of truth for
 # CI: .github/workflows/ci.yml runs exactly these targets, one per job.
-verify: fmt-check build vet test race faultinject fuzz-smoke bench-smoke cover
+verify: fmt-check build vet test race faultinject fuzz-smoke bench-smoke bench-test cover
 
 # ci is an alias so `make ci` reproduces the pipeline locally.
 ci: verify
@@ -79,6 +79,17 @@ fuzz-smoke:
 # committed BENCH_maintain.json.
 bench-smoke:
 	$(GO) run ./cmd/benchharness -smoke BENCH_maintain.json
+
+# bench-test runs the repo benchmark's own tests (every workload at test
+# scale, oracle-checked over the wire). bench/ is a module of its own, so
+# `go test ./...` from the root does not reach it.
+bench-test:
+	cd bench && $(GO) test .
+
+# bench-e2e is the repo benchmark itself (BENCHMARK.json's command) on all
+# four workloads: minutes of wall clock, so manual — not part of verify.
+bench-e2e:
+	bash bench/run.sh --workload all
 
 # cover enforces a total-statement-coverage floor. The floor sits below
 # the measured total (88.6% when set) by a margin wide enough for honest

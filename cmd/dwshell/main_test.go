@@ -37,6 +37,7 @@ SELECT brand, total, cnt FROM totals;
 \verify
 INSERT INTO sale VALUES (3, 1, 2.5);
 SELECT brand, total, cnt FROM totals;
+\metrics
 \q
 `)
 	for _, want := range []string{
@@ -47,6 +48,9 @@ SELECT brand, total, cnt FROM totals;
 		"digraph",         // \graph
 		"all views match", // \verify
 		"aux bytes",       // \report header fragment
+		// \metrics:
+		"maintain.recompute.avoided",
+		"maintain.recompute.rows",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

@@ -180,8 +180,9 @@ func run(w io.Writer, scale, deltas int, mixName, view string, metrics bool, sha
 	fmt.Fprintf(w, "\nstreamed %d deltas in %s (%.0f deltas/s)\n",
 		len(ds), elapsed.Round(time.Millisecond),
 		float64(len(ds))/elapsed.Seconds())
-	fmt.Fprintf(w, "  detail rows joined: %d, aux lookups: %d, group adjusts: %d, group recomputes: %d\n",
-		stats.DetailRows, stats.AuxLookups, stats.GroupAdjusts, stats.GroupRecomputes)
+	fmt.Fprintf(w, "  detail rows joined: %d, aux lookups: %d, group adjusts: %d, group recomputes: %d (avoided: %d, rows re-aggregated: %d)\n",
+		stats.DetailRows, stats.AuxLookups, stats.GroupAdjusts, stats.GroupRecomputes,
+		stats.RecomputesAvoided, stats.ReaggregatedRows)
 	fmt.Fprintf(w, "  view groups: %d, aux bytes now: %d\n", eng.Groups(), eng.AuxBytes())
 	if fac != nil {
 		printStoreStats(w, fac)

@@ -46,7 +46,8 @@ func TestRunMetricsDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"metrics:", "maintain.apply_ns", "maintain.stage.delta_detail_join_ns", "\"maintain.applies\": 20"} {
+	for _, want := range []string{"metrics:", "maintain.apply_ns", "maintain.stage.delta_detail_join_ns", "\"maintain.applies\": 20",
+		"group recomputes: ", "(avoided: ", "rows re-aggregated: ", "maintain.recompute.avoided", "maintain.recompute.rows"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics dump missing %q:\n%s", want, out)
 		}

@@ -98,10 +98,10 @@ func recoverBytes(t *testing.T, dir string) []byte {
 	return snap(t, r.Warehouse())
 }
 
-// TestFaultInjectionCrashRecovery drives every workload statement through
-// a WAL-attached warehouse, failing at the N-th injection point for
-// N = 1, 2, ... until the statement commits cleanly. After every injected
-// failure it checks both halves of the contract:
+// sweepCrashRecovery drives every step through a WAL-attached warehouse
+// built by setup, failing at the N-th injection point for N = 1, 2, ...
+// until the statement commits cleanly. After every injected failure it
+// checks both halves of the contract:
 //
 //  1. rollback — the live warehouse is byte-identical to its pre-statement
 //     state, and
@@ -109,7 +109,8 @@ func recoverBytes(t *testing.T, dir string) []byte {
 //     instant of the failure also lands byte-identically on the
 //     pre-statement state: the aborted (or outcome-less) intent in the
 //     log must not leak into recovery.
-func TestFaultInjectionCrashRecovery(t *testing.T) {
+func sweepCrashRecovery(t *testing.T, setup string, steps []string) {
+	t.Helper()
 	dir := t.TempDir()
 	d, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
@@ -117,12 +118,12 @@ func TestFaultInjectionCrashRecovery(t *testing.T) {
 	}
 	defer d.Close()
 	w := d.Warehouse()
-	if _, err := w.Exec(crashDDL); err != nil {
+	if _, err := w.Exec(setup); err != nil {
 		t.Fatal(err)
 	}
 
 	const limit = 100000
-	for k, sql := range crashSteps {
+	for k, sql := range steps {
 		committed := false
 		for failAt := int64(1); failAt <= limit; failAt++ {
 			before := snap(t, w)
@@ -160,6 +161,11 @@ func TestFaultInjectionCrashRecovery(t *testing.T) {
 	if got := recoverBytes(t, crashImage(t, dir)); !bytes.Equal(got, want) {
 		t.Fatal("final state does not survive recovery")
 	}
+}
+
+// TestFaultInjectionCrashRecovery sweeps the CSMAS workload.
+func TestFaultInjectionCrashRecovery(t *testing.T) {
+	sweepCrashRecovery(t, crashDDL, crashSteps)
 }
 
 // TestFaultInjectionTornWriteSweep cuts the log at every byte offset

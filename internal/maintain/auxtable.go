@@ -135,6 +135,20 @@ func NewAuxTable(def *core.AuxView) (*AuxTable, error) {
 // Def returns the auxiliary view definition.
 func (t *AuxTable) Def() *core.AuxView { return t.def }
 
+// aggPos maps base attributes to the column holding their SUM, MIN or MAX
+// in a compressed view (nil for any other function).
+func (t *AuxTable) aggPos(f ra.AggFunc) map[string]int {
+	switch f {
+	case ra.FuncSum:
+		return t.sumPos
+	case ra.FuncMin:
+		return t.minPos
+	case ra.FuncMax:
+		return t.maxPos
+	}
+	return nil
+}
+
 // Cols returns the table's schema (columns qualified with the base table).
 func (t *AuxTable) Cols() ra.Schema { return t.cols }
 
@@ -309,21 +323,29 @@ func (t *AuxTable) Lookup(attr string, v types.Value) []tuple.Tuple {
 // engines of one shared class read the same tables. The returned tuples are
 // the stored rows and must not be mutated.
 func (t *AuxTable) lookupInto(attr string, v types.Value, out []tuple.Tuple, keyBuf []byte) ([]tuple.Tuple, []byte) {
-	if m, ok := t.idx[attr]; ok {
-		keyBuf = types.Encode(keyBuf, v)
-		for _, k := range m[string(keyBuf)] {
-			r, ok, err := t.store.GetString(k)
-			if err != nil {
-				t.noteReadErr(err)
-			} else if ok {
-				out = append(out, r)
-			}
-		}
-		return out, keyBuf
+	m, ok := t.idx[attr]
+	if !ok {
+		return t.scanInto(attr, v, out), keyBuf
 	}
+	keyBuf = types.Encode(keyBuf, v)
+	for _, k := range m[string(keyBuf)] {
+		r, ok, err := t.store.GetString(k)
+		if err != nil {
+			t.noteReadErr(err)
+		} else if ok {
+			out = append(out, r)
+		}
+	}
+	return out, keyBuf
+}
+
+// scanInto is lookupInto's unindexed fallback. It is a function of its own
+// so that the scan closure's capture of v costs the indexed path nothing
+// (captured there, v would be heap-allocated on every probe).
+func (t *AuxTable) scanInto(attr string, v types.Value, out []tuple.Tuple) []tuple.Tuple {
 	pos, err := t.cols.Index(t.def.Base, attr)
 	if err != nil {
-		return out, keyBuf
+		return out
 	}
 	t.noteReadErr(t.store.Scan(func(_ string, r tuple.Tuple) error {
 		if types.Identical(r[pos], v) {
@@ -331,7 +353,7 @@ func (t *AuxTable) lookupInto(attr string, v types.Value, out []tuple.Tuple, key
 		}
 		return nil
 	}))
-	return out, keyBuf
+	return out
 }
 
 // containsWith is Contains with a caller-owned key buffer (read-only on

@@ -1,49 +1,37 @@
 package maintain
 
 import (
+	"encoding/binary"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"mindetail/internal/faultinject"
-	"mindetail/internal/ra"
 	"mindetail/internal/tuple"
 	"mindetail/internal/types"
 )
 
-// detailCtx is a relation of (possibly partial) view detail rows together
-// with the positions that let component evaluation account for compressed
-// duplicates: mPos is the column holding the root auxiliary view's COUNT(*)
-// (-1 when rows are uncompressed base rows), and sumPos maps a compressed
-// root attribute "table.attr" to the column holding its SUM.
-type detailCtx struct {
-	rel    *ra.Relation
-	mPos   int
-	sumPos map[string]int
-	// minPos and maxPos map an append-only-compressed root attribute
-	// "table.attr" to its MIN/MAX column.
-	minPos map[string]int
-	maxPos map[string]int
+// deltaRows is the outcome of the delta-detail join: the weighted detail
+// rows a delta contributes to the view, materialized (each row is the
+// concatenation of the plan's slots) because a DeltaMemo shares them across
+// replica engines. A row's weight is the signed number of underlying base
+// detail rows it stands for. Consumers treat all fields as read-only.
+type deltaRows struct {
+	plan    *detailPlan
+	rows    []tuple.Tuple
+	weights []int64
 }
 
-// newDetailCtx returns an empty context with initialized position maps.
-func newDetailCtx() detailCtx {
-	return detailCtx{
-		mPos:   -1,
-		sumPos: make(map[string]int),
-		minPos: make(map[string]int),
-		maxPos: make(map[string]int),
+// appendRow is the join walker's sink on the delta path.
+func (d *deltaRows) appendRow(rows []tuple.Tuple, w int64) error {
+	out := rows[0] // no join steps: the delta's own row, shared read-only
+	if len(rows) > 1 {
+		out = make(tuple.Tuple, 0, len(d.plan.cols))
+		for _, r := range rows {
+			out = append(out, r...)
+		}
 	}
-}
-
-// multiplicity returns the number of underlying base detail rows one
-// context row stands for.
-func (c detailCtx) multiplicity(row tuple.Tuple) int64 {
-	if c.mPos < 0 {
-		return 1
-	}
-	return row[c.mPos].AsInt()
+	d.rows = append(d.rows, out)
+	d.weights = append(d.weights, w)
+	return nil
 }
 
 // groupSet maps encoded group keys to their decoded group-by values. The
@@ -51,674 +39,229 @@ func (c detailCtx) multiplicity(row tuple.Tuple) int64 {
 // with the groups' own key attributes instead of re-joining everything.
 type groupSet map[string][]types.Value
 
-// tablesFor computes the set of tables a delta on t must join with:
-// owners of group-by attributes and aggregate arguments (to adjust or
-// locate groups), every filtering table (to decide view membership), the
-// root (for duplicate multiplicities), all closed under tree paths from t.
-// With UseNeedSets disabled, every referenced table joins.
-func (e *Engine) tablesFor(t string) map[string]bool {
-	needed := map[string]bool{t: true}
-	if !e.UseNeedSets {
-		for _, u := range e.view.Tables {
-			needed[u] = true
+// deltaDetail joins the signed delta rows of table t with the auxiliary
+// tables of every needed table (see tablesFor), producing weighted detail
+// rows: the root COUNT(*) multiplies in when climbing through a compressed
+// root view.
+func (e *Engine) deltaDetail(t string, signed []signedRow) (*deltaRows, error) {
+	var d *deltaRows
+	p, err := e.detailPlanFor(t, true)
+	switch {
+	case err != nil:
+	case e.shardable(len(signed)):
+		d, err = e.deltaDetailChunked(p, signed)
+	default:
+		d, err = joinSigned(&e.walker, p, signed)
+		e.stats.auxLookups.Add(e.walker.probes)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
+	}
+	return d, nil
+}
+
+// joinSigned walks every signed row through the plan with the given walker.
+func joinSigned(w *joinWalker, p *detailPlan, signed []signedRow) (*deltaRows, error) {
+	d := &deltaRows{plan: p, rows: make([]tuple.Tuple, 0, len(signed)), weights: make([]int64, 0, len(signed))}
+	w.reset(p, d.appendRow)
+	defer w.release()
+	for _, sr := range signed {
+		if err := w.walk(sr.row, sr.s); err != nil {
+			return nil, err
 		}
-		return needed
 	}
-	for _, a := range e.view.GroupBy() {
-		needed[a.Table] = true
-	}
-	for _, agg := range e.view.Aggregates() {
-		if agg.Arg != nil {
-			needed[agg.Arg.(ra.ColRef).Table] = true
+	return d, nil
+}
+
+// sumDeltas fills out with one weighted detail row's contribution to every
+// SUM component: the raw attribute scaled by the signed weight, or the
+// compressed SUM column scaled by the sign only.
+func (mv *MaterializedView) sumDeltas(p *detailPlan, row tuple.Tuple, w int64, out map[int]types.Value) error {
+	clear(out)
+	for ci := range mv.comps {
+		if mv.comps[ci].kind != compSum {
+			continue
 		}
-	}
-	for u, f := range e.filtering {
-		if f {
-			needed[u] = true
-		}
-	}
-	if t != e.graph.Root {
-		needed[e.graph.Root] = true
-	}
-	// Close under tree paths from t: joining u requires every table on the
-	// t–u path.
-	anc := func(x string) []string {
-		path := []string{x}
-		for x != e.graph.Root {
-			x = e.graph.Parent[x]
-			path = append(path, x)
-		}
-		return path
-	}
-	tPath := anc(t)
-	onTPath := make(map[string]int)
-	for i, x := range tPath {
-		onTPath[x] = i
-	}
-	closed := map[string]bool{}
-	for u := range needed {
-		uPath := anc(u) // u ... root
-		// Find the first vertex of uPath that lies on tPath: the LCA.
-		lca := -1
-		for i, x := range uPath {
-			if _, ok := onTPath[x]; ok {
-				lca = i
-				break
+		arg := &p.args[ci]
+		m := w
+		if arg.compressed {
+			m = 1
+			if w < 0 {
+				m = -1
 			}
 		}
-		for i := 0; i <= lca; i++ {
-			closed[uPath[i]] = true
+		d, err := types.Mul(types.Int(m), row[arg.flat])
+		if err != nil {
+			return err
 		}
-		for i := 0; i <= onTPath[uPath[lca]]; i++ {
-			closed[tPath[i]] = true
-		}
+		out[ci] = d
 	}
-	return closed
-}
-
-// joinState is the working state of an outward join over the extended join
-// graph: the accumulated schema, the weighted row set, and the tables
-// already folded in. Both the delta-detail path and the delta-scoped
-// recomputation path seed one of these and call joinOutward.
-type joinState struct {
-	cols     ra.Schema
-	rows     []tuple.Tuple
-	weights  []int64
-	included map[string]bool
-	ctx      detailCtx
-
-	// lk, when non-nil, is the private probe scratch of a parallel join
-	// worker; the serial path leaves it nil and reuses the engine's
-	// buffers (see Engine.auxLookup).
-	lk *probeScratch
-}
-
-// probeScratch is a worker-owned auxiliary-probe buffer pair: lookups
-// through it never touch the engine's (or the tables') reusable buffers,
-// so several chunk workers can probe the same quiescent tables at once.
-type probeScratch struct {
-	rows []tuple.Tuple
-	key  []byte
-}
-
-// lookup probes an auxiliary table through the state's private scratch
-// when present, the engine's otherwise.
-func (st *joinState) lookup(e *Engine, at *AuxTable, attr string, v types.Value) []tuple.Tuple {
-	if st.lk == nil {
-		return e.auxLookup(at, attr, v)
-	}
-	st.lk.rows, st.lk.key = at.lookupInto(attr, v, st.lk.rows[:0], st.lk.key[:0])
-	return st.lk.rows
-}
-
-// joinOutward folds every needed table into the state by probing the
-// auxiliary tables' hash indexes: join-down edges (a folded parent
-// references the child's key) match at most one row and act as a membership
-// filter; join-up edges (a folded child is referenced by the parent) fan
-// out, and a compressed parent contributes its COUNT(*) to the weight.
-// Residual local conditions are re-applied per table as it joins in.
-func (e *Engine) joinOutward(st *joinState, needed map[string]bool) error {
-	var probes int64
-	defer func() { e.stats.auxLookups.Add(probes) }()
-	// Fold edges in sorted child order: the join (and so column) order is
-	// deterministic, which the sharded delta-detail path relies on to merge
-	// chunk results computed by independent workers.
-	children := make([]string, 0, len(e.graph.EdgeTo))
-	for c := range e.graph.EdgeTo {
-		children = append(children, c)
-	}
-	sort.Strings(children)
-	for {
-		progress := false
-		for _, child := range children {
-			j := e.graph.EdgeTo[child]
-			parent := j.Left
-			switch {
-			case st.included[parent] && !st.included[child] && needed[child]:
-				// Join down: parent references the child's key; at most
-				// one match, no match drops the row (membership filter).
-				refPos, err := st.cols.Index(parent, j.LeftAttr)
-				if err != nil {
-					return err
-				}
-				at := e.aux[child]
-				if at == nil {
-					return fmt.Errorf("maintain: join needs the omitted auxiliary view of %s", child)
-				}
-				newRows := st.rows[:0]
-				newW := st.weights[:0]
-				for i, row := range st.rows {
-					probes++
-					matches := st.lookup(e, at, j.RightAttr, row[refPos])
-					if len(matches) == 0 {
-						continue
-					}
-					newRows = append(newRows, tuple.Concat(row, matches[0]))
-					newW = append(newW, st.weights[i])
-				}
-				st.rows, st.weights = newRows, newW
-				st.cols = append(append(ra.Schema{}, st.cols...), at.Cols()...)
-				st.rows, st.weights, err = e.applyResidual(child, st.cols, st.rows, st.weights)
-				if err != nil {
-					return err
-				}
-				st.included[child] = true
-				progress = true
-
-			case st.included[child] && !st.included[parent] && needed[parent]:
-				// Join up: find the parent rows referencing this key; the
-				// fan-out multiplies, and a compressed parent contributes
-				// its COUNT(*) to the weight.
-				keyPos, err := st.cols.Index(child, j.RightAttr)
-				if err != nil {
-					return err
-				}
-				at := e.aux[parent]
-				if at == nil {
-					return fmt.Errorf("maintain: join needs the omitted auxiliary view of %s", parent)
-				}
-				cntPos := at.cntPos
-				var outRows []tuple.Tuple
-				var outW []int64
-				for i, row := range st.rows {
-					probes++
-					for _, m := range st.lookup(e, at, j.LeftAttr, row[keyPos]) {
-						w := st.weights[i]
-						if cntPos >= 0 {
-							w *= m[cntPos].AsInt()
-						}
-						outRows = append(outRows, tuple.Concat(row, m))
-						outW = append(outW, w)
-					}
-				}
-				base := len(st.cols)
-				st.rows, st.weights = outRows, outW
-				st.cols = append(append(ra.Schema{}, st.cols...), at.Cols()...)
-				st.rows, st.weights, err = e.applyResidual(parent, st.cols, st.rows, st.weights)
-				if err != nil {
-					return err
-				}
-				if cntPos >= 0 {
-					st.ctx.mPos = base + cntPos
-				}
-				for a, p := range at.sumPos {
-					st.ctx.sumPos[parent+"."+a] = base + p
-				}
-				for a, p := range at.minPos {
-					st.ctx.minPos[parent+"."+a] = base + p
-				}
-				for a, p := range at.maxPos {
-					st.ctx.maxPos[parent+"."+a] = base + p
-				}
-				st.included[parent] = true
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for u := range needed {
-		if !st.included[u] {
-			return fmt.Errorf("maintain: join could not reach needed table %s", u)
-		}
-	}
-	st.ctx.rel = &ra.Relation{Cols: st.cols, Rows: st.rows}
 	return nil
 }
 
-// deltaDetail joins the signed delta rows of table t with the auxiliary
-// tables of every needed table, producing weighted detail rows: each output
-// row's weight is the signed number of underlying base detail rows it
-// stands for (the root COUNT(*) multiplies in when climbing through a
-// compressed root view).
-func (e *Engine) deltaDetail(t string, signed []signedRow) (detailCtx, []int64, error) {
-	if e.shardable(len(signed)) {
-		return e.deltaDetailChunked(t, signed)
+// adjustFromDetail applies incremental adjustments for each weighted detail
+// row whose group is not in skip: the CSMAS components and the hidden count
+// move by the row's contribution, and stored MIN/MAX components absorb
+// every inserted value (the SMA insertion path of Table 1 — a positive row
+// exists after the delta, so it can only confirm or improve the extremum).
+// Group keys are encoded into a reused scratch buffer, and the per-row
+// sum-delta map is cleared and reused, so the steady-state loop allocates
+// only on group creation.
+func (e *Engine) adjustFromDetail(d *deltaRows, skip groupSet) error {
+	if e.shardable(len(d.rows)) && !e.mv.global() {
+		return e.adjustFromDetailSharded(d, skip)
 	}
-	st := &joinState{
-		cols:     e.baseCols(t),
-		rows:     make([]tuple.Tuple, len(signed)),
-		weights:  make([]int64, len(signed)),
-		included: map[string]bool{t: true},
-		ctx:      newDetailCtx(),
-	}
-	for i, sr := range signed {
-		st.rows[i] = sr.row
-		st.weights[i] = sr.s
-	}
-	if err := e.joinOutward(st, e.tablesFor(t)); err != nil {
-		return st.ctx, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
-	}
-	return st.ctx, st.weights, nil
-}
-
-// applyResidual filters joined detail rows by the view's residual local
-// conditions on the just-joined table (shared-plan mode; no-op otherwise).
-func (e *Engine) applyResidual(table string, cols ra.Schema, rows []tuple.Tuple, weights []int64) ([]tuple.Tuple, []int64, error) {
-	conds := e.residual[table]
-	if len(conds) == 0 {
-		return rows, weights, nil
-	}
-	pred, err := ra.BindAll(conds, cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	outRows := rows[:0]
-	outW := weights[:0]
-	for i, row := range rows {
-		ok, err := pred(row)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			outRows = append(outRows, row)
-			outW = append(outW, weights[i])
-		}
-	}
-	return outRows, outW, nil
-}
-
-// fullAuxDetail joins all auxiliary views into the full view detail — the
-// input to partial recomputation. It requires the root auxiliary view and
-// re-applies every residual condition. The tree is joined breadth-first
-// with index-lookup joins probing each auxiliary table's maintained hash
-// index, so no per-evaluation hash tables are built.
-func (e *Engine) fullAuxDetail() (detailCtx, error) {
-	root := e.aux[e.graph.Root]
-	if root == nil {
-		return detailCtx{}, fmt.Errorf("maintain: root auxiliary view of %s omitted; cannot recompute", e.graph.Root)
-	}
-	var node ra.Node = ra.Scan(root.def.Name, root.Relation())
-	var joins []*ra.IndexedJoinNode
-	queue := append([]string(nil), e.graph.Children[e.graph.Root]...)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		at := e.aux[t]
-		if at == nil {
-			return detailCtx{}, fmt.Errorf("maintain: missing auxiliary view for %s", t)
-		}
-		j := e.graph.EdgeTo[t]
-		if err := at.EnsureIndex(j.RightAttr); err != nil {
-			return detailCtx{}, err
-		}
-		// The probeView adapter gives IndexedJoin private probe scratch, so
-		// several engines can evaluate recomputation joins over the same
-		// shared tables concurrently.
-		ij := ra.IndexedJoin(node, ra.Col{Table: j.Left, Name: j.LeftAttr}, &probeView{at: at}, j.RightAttr, at.def.Name)
-		joins = append(joins, ij)
-		node = ij
-		queue = append(queue, e.graph.Children[t]...)
-	}
-	var allResidual []ra.Comparison
-	for _, conds := range e.residual {
-		allResidual = append(allResidual, conds...)
-	}
-	if len(allResidual) > 0 {
-		node = ra.Select(node, allResidual...)
-	}
-	rel, err := node.Eval()
-	if err != nil {
-		return detailCtx{}, err
-	}
-	for _, ij := range joins {
-		e.stats.auxLookups.Add(int64(ij.Probes))
-		ij.Probes = 0
-	}
-	ctx := newDetailCtx()
-	ctx.rel = rel
-	if root.cntPos >= 0 {
-		i, err := rel.Cols.Index(root.def.Base, root.def.CountName)
-		if err != nil {
-			return detailCtx{}, err
-		}
-		ctx.mPos = i
-	}
-	for a := range root.sumPos {
-		i, err := rel.Cols.Index(root.def.Base, root.def.SumName[a])
-		if err != nil {
-			return detailCtx{}, err
-		}
-		ctx.sumPos[root.def.Base+"."+a] = i
-	}
-	for a := range root.minPos {
-		i, err := rel.Cols.Index(root.def.Base, root.def.MinName[a])
-		if err != nil {
-			return detailCtx{}, err
-		}
-		ctx.minPos[root.def.Base+"."+a] = i
-	}
-	for a := range root.maxPos {
-		i, err := rel.Cols.Index(root.def.Base, root.def.MaxName[a])
-		if err != nil {
-			return detailCtx{}, err
-		}
-		ctx.maxPos[root.def.Base+"."+a] = i
-	}
-	return ctx, nil
-}
-
-// scopedAuxDetail builds the view detail restricted to the affected groups
-// without joining the full auxiliary tree: it seeds from the auxiliary view
-// owning one of the group-by attributes, probes that view's hash index with
-// the affected groups' own key values, keeps only rows whose group-by
-// projection matches an affected group, and joins outward along the
-// Need-set edges exactly as the delta-detail path does. The result is a
-// superset of the affected groups' detail rows (aggregation filters by the
-// exact group key), so maintenance cost is proportional to the touched
-// groups rather than the warehouse.
-//
-// The second result reports whether the scoped path could be used; when
-// false the caller must fall back to fullAuxDetail. The path declines when
-// the view is global, a group-by item is not a plain column reference, or
-// no group-by attribute is stored plain in a seedable auxiliary view.
-func (e *Engine) scopedAuxDetail(keys groupSet) (detailCtx, bool, error) {
-	ctx := newDetailCtx()
-	if len(e.mv.gbIdx) == 0 {
-		return ctx, false, nil
-	}
-	refs := make([]ra.ColRef, len(e.mv.gbIdx))
-	for i, ci := range e.mv.gbIdx {
-		cr, ok := e.mv.comps[ci].item.Expr.(ra.ColRef)
-		if !ok {
-			return ctx, false, nil
-		}
-		refs[i] = cr
-	}
-	// Pick a seed: a group-by attribute stored plain in its owner's
-	// auxiliary view. A compressed non-root view cannot seed (its rows are
-	// groups, not detail); in the minimal plans only the root compresses,
-	// so this guard is defensive.
-	seed := -1
-	var seedAux *AuxTable
-	for i, cr := range refs {
-		at := e.aux[cr.Table]
-		if at == nil {
-			continue
-		}
-		if !contains(at.def.PlainAttrs, cr.Name) {
-			continue
-		}
-		if cr.Table != e.graph.Root && at.cntPos >= 0 {
-			continue
-		}
-		seed, seedAux = i, at
-		break
-	}
-	if seed < 0 {
-		return ctx, false, nil
-	}
-	seedTable, seedAttr := refs[seed].Table, refs[seed].Name
-	if err := seedAux.EnsureIndex(seedAttr); err != nil {
-		return ctx, false, err
-	}
-
-	// The seed view may own several group-by columns; restricting probe
-	// results to the affected groups' projection onto all of them tightens
-	// the row superset before any joining happens.
-	var ownPos []int // positions in the seed aux schema
-	var ownGb []int  // positions in the group-by value lists
-	for i, cr := range refs {
-		if cr.Table != seedTable {
-			continue
-		}
-		p, err := seedAux.cols.Index(cr.Table, cr.Name)
-		if err != nil {
-			return ctx, false, nil
-		}
-		ownPos = append(ownPos, p)
-		ownGb = append(ownGb, i)
-	}
-
-	allowed := make(map[string]bool, len(keys))
-	probes := make(map[string]types.Value, len(keys))
-	buf := e.keyBuf[:0]
-	for _, vals := range keys {
-		buf = buf[:0]
-		for _, gi := range ownGb {
-			buf = types.Encode(buf, vals[gi])
-		}
-		allowed[string(buf)] = true
-		buf = types.Encode(buf[:0], vals[seed])
-		if _, ok := probes[string(buf)]; !ok {
-			probes[string(buf)] = vals[seed]
-		}
-	}
-
-	var rows []tuple.Tuple
-	var nProbes int64
-	for _, v := range probes {
-		nProbes++
-		for _, r := range e.auxLookup(seedAux, seedAttr, v) {
-			buf = buf[:0]
-			for _, p := range ownPos {
-				buf = types.Encode(buf, r[p])
-			}
-			if allowed[string(buf)] {
-				rows = append(rows, r)
-			}
-		}
-	}
-	e.keyBuf = buf[:0]
-	e.stats.auxLookups.Add(nProbes)
-
-	st := &joinState{
-		cols:     seedAux.Cols(),
-		rows:     rows,
-		weights:  make([]int64, len(rows)),
-		included: map[string]bool{seedTable: true},
-		ctx:      ctx,
-	}
-	for i := range st.weights {
-		st.weights[i] = 1
-	}
-	// A compressed seed (the root) carries its own multiplicity columns.
-	if seedTable == e.graph.Root {
-		if seedAux.cntPos >= 0 {
-			st.ctx.mPos = seedAux.cntPos
-		}
-		for a, p := range seedAux.sumPos {
-			st.ctx.sumPos[seedTable+"."+a] = p
-		}
-		for a, p := range seedAux.minPos {
-			st.ctx.minPos[seedTable+"."+a] = p
-		}
-		for a, p := range seedAux.maxPos {
-			st.ctx.maxPos[seedTable+"."+a] = p
-		}
-	}
-	var err error
-	st.rows, st.weights, err = e.applyResidual(seedTable, st.cols, st.rows, st.weights)
-	if err != nil {
-		return st.ctx, false, err
-	}
-	if err := e.joinOutward(st, e.tablesFor(seedTable)); err != nil {
-		return st.ctx, false, err
-	}
-	return st.ctx, true, nil
-}
-
-// gbFns binds the view's group-by expressions against a detail schema. The
-// returned closures are stateless and safe for concurrent use.
-func (e *Engine) gbFns(cols ra.Schema) ([]func(tuple.Tuple) (types.Value, error), error) {
-	fns := make([]func(tuple.Tuple) (types.Value, error), 0, len(e.mv.gbIdx))
-	for _, ci := range e.mv.gbIdx {
-		f, err := e.mv.comps[ci].item.Expr.Bind(cols)
-		if err != nil {
-			return nil, err
-		}
-		fns = append(fns, f)
-	}
-	return fns, nil
-}
-
-// sumArg resolves where a SUM component's argument lives in a detail
-// schema: either the compressed SUM column (value contributes directly,
-// scaled by sign only) or the raw attribute (scaled by the signed weight).
-type sumArg struct {
-	compressed bool
-	pos        int
-}
-
-func (e *Engine) bindSumArgs(ctx detailCtx) (map[int]sumArg, error) {
-	out := make(map[int]sumArg)
-	for ci, c := range e.mv.comps {
-		if c.kind != compSum {
-			continue
-		}
-		if p, ok := ctx.sumPos[c.arg.Table+"."+c.arg.Name]; ok {
-			out[ci] = sumArg{compressed: true, pos: p}
-			continue
-		}
-		p, err := ctx.rel.Cols.Index(c.arg.Table, c.arg.Name)
-		if err != nil {
-			return nil, err
-		}
-		out[ci] = sumArg{pos: p}
-	}
-	return out, nil
-}
-
-// storedArgPos resolves where a stored (non-CSMAS) component's argument
-// lives in a detail schema: the raw attribute when present, otherwise the
-// append-only-compressed MIN/MAX column of the same attribute.
-func storedArgPos(ctx detailCtx, c component) (int, error) {
-	if p, err := ctx.rel.Cols.Index(c.arg.Table, c.arg.Name); err == nil {
-		return p, nil
-	}
-	key := c.arg.Table + "." + c.arg.Name
-	if c.item.Agg.Func == ra.FuncMin && !c.item.Agg.Distinct {
-		if p, ok := ctx.minPos[key]; ok {
-			return p, nil
-		}
-	}
-	if c.item.Agg.Func == ra.FuncMax && !c.item.Agg.Distinct {
-		if p, ok := ctx.maxPos[key]; ok {
-			return p, nil
-		}
-	}
-	_, err := ctx.rel.Cols.Index(c.arg.Table, c.arg.Name)
-	return -1, err
-}
-
-// adjustFromDetail applies incremental CSMAS adjustments for each weighted
-// detail row; with raise set, stored MIN/MAX components absorb the
-// insertion batch (the SMA insertion fast path). Group keys are encoded
-// into a reused scratch buffer, and the per-row sum-delta map is cleared
-// and reused, so the steady-state loop allocates only on group creation.
-func (e *Engine) adjustFromDetail(ctx detailCtx, weights []int64, raise bool) error {
-	if e.shardable(len(ctx.rel.Rows)) && !e.mv.global() {
-		return e.adjustFromDetailSharded(ctx, weights, raise)
-	}
-	fns, err := e.gbFns(ctx.rel.Cols)
-	if err != nil {
-		return err
-	}
-	sums, err := e.bindSumArgs(ctx)
-	if err != nil {
-		return err
-	}
-	type storedBind struct {
-		comp int
-		pos  int
-	}
-	var stored []storedBind
-	if raise {
-		for ci, c := range e.mv.comps {
-			if c.kind != compStored {
-				continue
-			}
-			p, err := storedArgPos(ctx, c)
-			if err != nil {
-				return err
-			}
-			stored = append(stored, storedBind{comp: ci, pos: p})
-		}
-	}
-	gbVals := make([]types.Value, len(fns))
-	sumDeltas := make(map[int]types.Value, len(sums))
+	p, mv := d.plan, e.mv
+	keep := len(mv.storedIdx) > 0
+	gbVals := make([]types.Value, len(p.gbFlat))
+	sumDeltas := make(map[int]types.Value)
+	var emptied []string
 	var adjusts int64
 	defer func() { e.stats.groupAdjusts.Add(adjusts) }()
 	buf := e.keyBuf[:0]
-	for i, row := range ctx.rel.Rows {
-		w := weights[i]
-		buf = buf[:0]
-		for gi, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return err
-			}
-			gbVals[gi] = v
-			buf = types.Encode(buf, v)
+	for i, row := range d.rows {
+		w := d.weights[i]
+		buf = row.AppendKeyAt(buf[:0], p.gbFlat)
+		if _, ok := skip[string(buf)]; ok {
+			continue
 		}
-		clear(sumDeltas)
-		for ci, sa := range sums {
-			var d types.Value
-			if sa.compressed {
-				v := row[sa.pos]
-				sign := int64(1)
-				if w < 0 {
-					sign = -1
-				}
-				d, err = types.Mul(types.Int(sign), v)
-			} else {
-				d, err = types.Mul(types.Int(w), row[sa.pos])
-			}
-			if err != nil {
-				return err
-			}
-			sumDeltas[ci] = d
+		for gi, pos := range p.gbFlat {
+			gbVals[gi] = row[pos]
+		}
+		if err := mv.sumDeltas(p, row, w, sumDeltas); err != nil {
+			return err
 		}
 		if err := e.fi.Fire(faultinject.MVAdjustRow); err != nil {
 			return err
 		}
-		e.jnl.noteMV(e.mv, buf)
-		if err := e.mv.adjustBuf(buf, gbVals, w, sumDeltas); err != nil {
+		e.jnl.noteMV(mv, buf)
+		if err := mv.adjustBuf(buf, gbVals, w, sumDeltas, keep); err != nil {
 			return err
 		}
 		adjusts++
-		for _, sb := range stored {
-			e.mv.raiseExtremaBuf(buf, sb.comp, row[sb.pos])
+		if !keep {
+			continue
+		}
+		cur := mv.rows[string(buf)]
+		if w > 0 {
+			for _, ci := range mv.extremaIdx {
+				mv.raiseRow(cur, ci, row[p.args[ci].flat])
+			}
+		}
+		if mv.empty(cur) {
+			emptied = append(emptied, string(buf))
 		}
 	}
 	e.keyBuf = buf[:0]
+	for _, k := range emptied {
+		if row, ok := mv.rows[k]; ok && mv.empty(row) {
+			delete(mv.rows, k)
+		}
+	}
 	return nil
 }
 
-// affectedGroups returns the groups the detail rows touch: encoded key and
-// decoded group-by values (the seed values of the scoped recomputation).
-func (e *Engine) affectedGroups(ctx detailCtx) (groupSet, error) {
-	fns, err := e.gbFns(ctx.rel.Cols)
-	if err != nil {
-		return nil, err
+// splitAffected decides, per group the delta touches, between adjustment
+// and recomputation — the per-aggregate reading of the paper's Tables 1–2,
+// taken from the net effect of the delta before any detail is read. The
+// delta rows are netted per stored component:
+//
+//   - DISTINCT: by (group, argument value). A value whose net weight is
+//     zero keeps its multiplicity (a price update re-inserts the brand it
+//     removes); any other net may add or drop a distinct value, which the
+//     stored aggregate cannot tell, so the group recomputes.
+//   - plain MIN/MAX: only rows whose value compares equal to the stored
+//     extremum can retire it; the group recomputes when they net negative
+//     (a tie still does — the stored row does not know the tie count).
+//
+// It returns the groups to recompute; every other group adjusts. The
+// decision is a pure function of the (memo-shared) rows and the engine's
+// own stored rows, so replica engines decide identically. The oracle paths
+// (ForceFullRecompute, StrategyFull) recompute every affected group.
+func (e *Engine) splitAffected(d *deltaRows) groupSet {
+	type group struct {
+		key      string
+		vals     []types.Value
+		stored   tuple.Tuple
+		negative bool
+		recomp   bool
 	}
-	keys := make(groupSet)
-	vals := make([]types.Value, len(fns))
+	type net struct {
+		group    int
+		distinct bool
+		w        int64
+	}
+	p, mv := d.plan, e.mv
+	all := e.ForceFullRecompute || e.strategy == StrategyFull
+	idx := make(map[string]int)
+	netIdx := make(map[string]int)
+	var groups []group
+	var nets []net
 	buf := e.keyBuf[:0]
-	for _, row := range ctx.rel.Rows {
-		buf = buf[:0]
-		for i, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-			buf = types.Encode(buf, v)
+	for i, row := range d.rows {
+		buf = row.AppendKeyAt(buf[:0], p.gbFlat)
+		gi, ok := idx[string(buf)]
+		if !ok {
+			gi = len(groups)
+			key := string(buf)
+			idx[key] = gi
+			groups = append(groups, group{key: key, vals: row.Project(p.gbFlat), stored: mv.rows[key]})
 		}
-		if _, ok := keys[string(buf)]; !ok {
-			keys[string(buf)] = append([]types.Value(nil), vals...)
+		g := &groups[gi]
+		w := d.weights[i]
+		if w < 0 {
+			g.negative = true
+		}
+		if all {
+			continue
+		}
+		glen := len(buf)
+		for _, ci := range mv.storedIdx {
+			v := row[p.args[ci].flat]
+			buf = binary.AppendUvarint(buf[:glen], uint64(ci))
+			distinct := mv.comps[ci].distinct
+			if distinct {
+				buf = types.Encode(buf, v)
+			} else if g.stored == nil || types.Compare(v, g.stored[ci]) != 0 {
+				continue
+			}
+			ni, ok := netIdx[string(buf)]
+			if !ok {
+				ni = len(nets)
+				netIdx[string(buf)] = ni
+				nets = append(nets, net{group: gi, distinct: distinct})
+			}
+			nets[ni].w += w
 		}
 	}
 	e.keyBuf = buf[:0]
-	return keys, nil
+	for _, n := range nets {
+		if n.w < 0 || (n.distinct && n.w != 0) {
+			groups[n.group].recomp = true
+		}
+	}
+	recompute := make(groupSet)
+	var avoided int64
+	for _, g := range groups {
+		switch {
+		case all || g.recomp:
+			recompute[g.key] = g.vals
+		case g.negative:
+			avoided++
+		}
+	}
+	e.stats.recomputesAvoided.Add(avoided)
+	if e.met != nil {
+		e.met.avoided.Add(avoided)
+	}
+	return recompute
 }
 
 // recomputeGroups repairs the given groups from the auxiliary views alone
-// (Section 3.2's recomputation of non-CSMAS aggregates): the affected
-// detail rows are gathered — by the delta-scoped index propagation when the
-// view's shape admits it, from the full auxiliary join otherwise — and
-// re-aggregated, replacing the stored groups.
+// (Section 3.2's recomputation of non-CSMAS aggregates): their detail is
+// re-aggregated — reached by the delta-scoped index propagation when the
+// view's shape admits it, from the full auxiliary join otherwise —
+// replacing the stored groups.
 func (e *Engine) recomputeGroups(keys groupSet) error {
 	if len(keys) == 0 {
 		return nil
@@ -728,8 +271,8 @@ func (e *Engine) recomputeGroups(keys groupSet) error {
 		return err
 	}
 	// Journal every affected group before the delete+reinstall below: the
-	// replacements computeGroups produced are a subset of keys (it filters
-	// by exact group key), so capturing the keys covers all mutations.
+	// replacements are a subset of keys (the kernel filters by exact group
+	// key), so capturing the keys covers all mutations.
 	for k := range keys {
 		e.jnl.noteMVKey(e.mv, k)
 	}
@@ -737,287 +280,19 @@ func (e *Engine) recomputeGroups(keys groupSet) error {
 	if err := e.fi.Fire(faultinject.RecomputeInstall); err != nil {
 		return err
 	}
-	for _, row := range groups {
+	for _, g := range groups {
+		row := g.row
 		if shared {
 			// Memoized rows are consumed by several engines and mutated in
 			// place once installed (adjustments, rollback restore); install a
 			// private copy and leave the memo's pristine.
 			row = row.Clone()
 		}
-		e.mv.setRow(row)
+		e.mv.rows[g.key] = row
 	}
 	e.stats.groupRecomputes.Add(int64(len(groups)))
 	if e.mv.global() && len(groups) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}
 	return nil
-}
-
-// parallelRecomputeThreshold is the detail-row count below which group
-// recomputation stays serial: small deltas must not pay goroutine and
-// sharding overhead.
-const parallelRecomputeThreshold = 4096
-
-// workerCount resolves the recomputation worker-pool size.
-func (e *Engine) workerCount() int {
-	w := e.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > 16 {
-		w = 16
-	}
-	return w
-}
-
-// storedDef binds one stored (non-CSMAS) component to its detail position.
-type storedDef struct {
-	comp int
-	pos  int
-	agg  *ra.Aggregate
-}
-
-// computeGroups aggregates detail rows into maintenance-form component
-// rows. With keys non-nil, only groups in the set are produced. Large
-// inputs are sharded by group-key hash across a bounded worker pool: every
-// row of a group lands in the same shard with its original relative order
-// preserved, so parallel aggregation accumulates each group exactly as the
-// serial path would.
-func (e *Engine) computeGroups(ctx detailCtx, keys groupSet) (map[string]tuple.Tuple, error) {
-	fns, err := e.gbFns(ctx.rel.Cols)
-	if err != nil {
-		return nil, err
-	}
-	sums, err := e.bindSumArgs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var storeds []storedDef
-	for ci, c := range e.mv.comps {
-		if c.kind != compStored {
-			continue
-		}
-		p, err := storedArgPos(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		storeds = append(storeds, storedDef{comp: ci, pos: p, agg: c.item.Agg})
-	}
-
-	rows := ctx.rel.Rows
-	workers := e.workerCount()
-	if workers <= 1 || len(rows) < parallelRecomputeThreshold {
-		return e.aggregateGroups(ctx, rows, fns, sums, storeds, keys)
-	}
-
-	// Shard by group-key hash; the keys filter applies here so workers
-	// only see relevant rows.
-	shards := make([][]tuple.Tuple, workers)
-	var buf []byte
-	for _, row := range rows {
-		buf = buf[:0]
-		for _, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			buf = types.Encode(buf, v)
-		}
-		if keys != nil {
-			if _, ok := keys[string(buf)]; !ok {
-				continue
-			}
-		}
-		w := int(fnv32(buf) % uint32(workers))
-		shards[w] = append(shards[w], row)
-	}
-	outs := make([]map[string]tuple.Tuple, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		if len(shards[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			outs[w], errs[w] = e.aggregateGroups(ctx, shards[w], fns, sums, storeds, nil)
-		}(w)
-	}
-	wg.Wait()
-	merged := make(map[string]tuple.Tuple)
-	for w := range outs {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		for k, row := range outs[w] {
-			merged[k] = row
-		}
-	}
-	return merged, nil
-}
-
-// aggregateGroups performs the aggregation loop over one row set. It uses
-// only local state plus read-only engine metadata, so multiple invocations
-// may run concurrently (the parallel recomputation workers).
-func (e *Engine) aggregateGroups(ctx detailCtx, rows []tuple.Tuple, fns []func(tuple.Tuple) (types.Value, error), sums map[int]sumArg, storeds []storedDef, keys groupSet) (map[string]tuple.Tuple, error) {
-	type storedAcc struct {
-		extremum map[string]types.Value            // group key -> MIN/MAX value
-		distinct map[string]map[string]types.Value // group key -> set
-	}
-	accs := make([]storedAcc, len(storeds))
-	for i := range accs {
-		accs[i] = storedAcc{
-			extremum: make(map[string]types.Value),
-			distinct: make(map[string]map[string]types.Value),
-		}
-	}
-
-	out := make(map[string]tuple.Tuple)
-	gbVals := make([]types.Value, len(fns))
-	var buf, vbuf []byte
-	for _, row := range rows {
-		buf = buf[:0]
-		for i, f := range fns {
-			v, err := f(row)
-			if err != nil {
-				return nil, err
-			}
-			gbVals[i] = v
-			buf = types.Encode(buf, v)
-		}
-		if keys != nil {
-			if _, ok := keys[string(buf)]; !ok {
-				continue
-			}
-		}
-		m := ctx.multiplicity(row)
-		orow, ok := out[string(buf)]
-		if !ok {
-			orow = e.mv.blank(gbVals)
-			out[string(buf)] = orow
-		}
-		for ci, c := range e.mv.comps {
-			switch c.kind {
-			case compCount:
-				orow[ci] = types.Int(orow[ci].AsInt() + m)
-			case compSum:
-				sa := sums[ci]
-				var d types.Value
-				if sa.compressed {
-					d = row[sa.pos]
-				} else {
-					var err error
-					d, err = types.Mul(types.Int(m), row[sa.pos])
-					if err != nil {
-						return nil, err
-					}
-				}
-				if orow[ci].IsNull() {
-					orow[ci] = d
-				} else {
-					s, err := types.Add(orow[ci], d)
-					if err != nil {
-						return nil, err
-					}
-					orow[ci] = s
-				}
-			}
-		}
-		h := e.mv.hiddenIdx()
-		orow[h] = types.Int(orow[h].AsInt() + m)
-
-		for i := range storeds {
-			sd := &storeds[i]
-			ac := &accs[i]
-			v := row[sd.pos]
-			if sd.agg.Distinct {
-				set, ok := ac.distinct[string(buf)]
-				if !ok {
-					set = make(map[string]types.Value)
-					ac.distinct[string(buf)] = set
-				}
-				vbuf = types.Encode(vbuf[:0], v)
-				if _, ok := set[string(vbuf)]; !ok {
-					set[string(vbuf)] = v
-				}
-				continue
-			}
-			cur, ok := ac.extremum[string(buf)]
-			switch {
-			case !ok:
-				ac.extremum[string(buf)] = v
-			case sd.agg.Func == ra.FuncMin && types.Compare(v, cur) < 0:
-				ac.extremum[string(buf)] = v
-			case sd.agg.Func == ra.FuncMax && types.Compare(v, cur) > 0:
-				ac.extremum[string(buf)] = v
-			}
-		}
-	}
-
-	// Finalize stored components.
-	for i := range storeds {
-		sd := &storeds[i]
-		ac := &accs[i]
-		for key, orow := range out {
-			if sd.agg.Distinct {
-				v, err := finalizeDistinct(sd.agg, ac.distinct[key])
-				if err != nil {
-					return nil, err
-				}
-				orow[sd.comp] = v
-			} else if v, ok := ac.extremum[key]; ok {
-				orow[sd.comp] = v
-			}
-		}
-	}
-	return out, nil
-}
-
-// fnv32 is the FNV-1a hash of b, used to shard rows by group key.
-func fnv32(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
-
-// finalizeDistinct computes a DISTINCT aggregate over a value set.
-func finalizeDistinct(agg *ra.Aggregate, set map[string]types.Value) (types.Value, error) {
-	switch agg.Func {
-	case ra.FuncCount:
-		return types.Int(int64(len(set))), nil
-	case ra.FuncSum, ra.FuncAvg:
-		if len(set) == 0 {
-			return types.Null, nil
-		}
-		sum := types.Value(types.Int(0))
-		for _, v := range set {
-			s, err := types.Add(sum, v)
-			if err != nil {
-				return types.Null, err
-			}
-			sum = s
-		}
-		if agg.Func == ra.FuncSum {
-			return sum, nil
-		}
-		return types.Float(sum.AsFloat() / float64(len(set))), nil
-	case ra.FuncMin, ra.FuncMax:
-		// MIN/MAX(DISTINCT a) ≡ MIN/MAX(a); handled via extremum normally,
-		// but DISTINCT forces the set path.
-		var best types.Value = types.Null
-		for _, v := range set {
-			if best.IsNull() ||
-				(agg.Func == ra.FuncMin && types.Compare(v, best) < 0) ||
-				(agg.Func == ra.FuncMax && types.Compare(v, best) > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	default:
-		return types.Null, fmt.Errorf("maintain: unsupported DISTINCT aggregate %s", agg)
-	}
 }

@@ -40,6 +40,14 @@ type Stats struct {
 	AuxLookups      int // index probes into auxiliary tables
 	GroupAdjusts    int // incremental CSMAS group adjustments
 	GroupRecomputes int // groups repaired by partial recomputation
+
+	// RecomputesAvoided counts groups that a negative-weight delta touched
+	// and that were adjusted instead of recomputed, because the delta's net
+	// effect provably left every stored aggregate intact (see
+	// splitAffected). ReaggregatedRows counts the auxiliary detail rows
+	// partial recomputation walked into the aggregation kernel.
+	RecomputesAvoided int
+	ReaggregatedRows  int
 }
 
 // engineStats is the engine-internal counter set. The counters are atomic
@@ -53,15 +61,20 @@ type engineStats struct {
 	auxLookups      atomic.Int64
 	groupAdjusts    atomic.Int64
 	groupRecomputes atomic.Int64
+
+	recomputesAvoided atomic.Int64
+	reaggregatedRows  atomic.Int64
 }
 
 func (s *engineStats) snapshot() Stats {
 	return Stats{
-		DeltasApplied:   int(s.deltasApplied.Load()),
-		DetailRows:      int(s.detailRows.Load()),
-		AuxLookups:      int(s.auxLookups.Load()),
-		GroupAdjusts:    int(s.groupAdjusts.Load()),
-		GroupRecomputes: int(s.groupRecomputes.Load()),
+		DeltasApplied:     int(s.deltasApplied.Load()),
+		DetailRows:        int(s.detailRows.Load()),
+		AuxLookups:        int(s.auxLookups.Load()),
+		GroupAdjusts:      int(s.groupAdjusts.Load()),
+		GroupRecomputes:   int(s.groupRecomputes.Load()),
+		RecomputesAvoided: int(s.recomputesAvoided.Load()),
+		ReaggregatedRows:  int(s.reaggregatedRows.Load()),
 	}
 }
 
@@ -71,6 +84,8 @@ func (s *engineStats) reset() {
 	s.auxLookups.Store(0)
 	s.groupAdjusts.Store(0)
 	s.groupRecomputes.Store(0)
+	s.recomputesAvoided.Store(0)
+	s.reaggregatedRows.Store(0)
 }
 
 // Engine maintains a materialized GPSJ view and its auxiliary views under
@@ -88,16 +103,11 @@ type Engine struct {
 	// false every referenced table is joined.
 	UseNeedSets bool
 
-	// ForceFullRecompute disables the delta-scoped group recomputation
-	// path: affected groups are repaired from the full auxiliary join (the
-	// pre-optimization behavior, kept as a verification oracle and as the
-	// fallback for shapes the scoped path cannot seed).
+	// ForceFullRecompute is the verification oracle: every group a delta
+	// with deletions touches is recomputed (no net-effect avoidance), from
+	// the full auxiliary join instead of the delta-scoped probes. The full
+	// join is also the fallback for shapes the scoped path cannot seed.
 	ForceFullRecompute bool
-
-	// Workers bounds the group-recomputation worker pool; 0 means
-	// GOMAXPROCS. Parallelism engages only above a row threshold, so small
-	// deltas never pay goroutine overhead.
-	Workers int
 
 	// Shards, when > 1, fans the per-group apply work — auxiliary-table
 	// adjustment, the delta-detail join, and the materialized-view
@@ -140,17 +150,22 @@ type Engine struct {
 	localPredC map[string]func(tuple.Tuple) (bool, error)
 	auxPlanC   map[string]*auxApplyPlan
 
-	// Scratch buffers reused across Apply calls (the engine is not safe
-	// for concurrent Apply, so a single set suffices). lkKeyBuf and
-	// lkRowBuf are the engine's private auxiliary-probe scratch: engines of
-	// a shared class probe the same tables concurrently during parallel
-	// staging, so probes must never touch the tables' own buffers.
+	// pc caches the compiled join plans and the scoped seed (see plan.go).
+	pc planCache
+
+	// Scratch reused across Apply calls (the engine is not safe for
+	// concurrent Apply, so a single set suffices). lkKeyBuf, walker, seedLk
+	// and agg are the engine's private probe and aggregation scratch:
+	// engines of a shared class probe the same tables concurrently during
+	// parallel staging, so probes must never touch the tables' own buffers.
 	keyBuf    []byte
 	plainBuf  tuple.Tuple
 	sumDeltaC map[string]types.Value
 	extremaC  map[string]types.Value
 	lkKeyBuf  []byte
-	lkRowBuf  []tuple.Tuple
+	walker    joinWalker
+	seedLk    probeScratch
+	agg       aggregator
 
 	// memo and memoKey are set for the duration of one StageWithMemo call;
 	// memoScope names the propagation domain whose same-fingerprint engines
@@ -350,7 +365,9 @@ func (e *Engine) Init(src func(table string) *ra.Relation) error {
 	return e.initMV(src)
 }
 
-// initMV computes the view's component form from base relations.
+// initMV computes the view's component form from base relations, through
+// the same aggregation kernel recomputation uses (on its own scratch: the
+// one-off pass over the whole detail must not size the engine's).
 func (e *Engine) initMV(src func(table string) *ra.Relation) error {
 	detailNode, err := e.view.DetailPlan(src)
 	if err != nil {
@@ -360,12 +377,27 @@ func (e *Engine) initMV(src func(table string) *ra.Relation) error {
 	if err != nil {
 		return err
 	}
-	ctx := detailCtx{rel: detail, mPos: -1}
-	groups, err := e.computeGroups(ctx, nil)
+	p, err := e.mv.flatPlan(detail.Cols)
 	if err != nil {
 		return err
 	}
-	e.mv.rows = groups
+	var agg aggregator
+	agg.begin(e.mv, p, nil)
+	slot := make([]tuple.Tuple, 1)
+	for _, row := range detail.Rows {
+		slot[0] = row
+		if err := agg.add(slot, 1); err != nil {
+			return err
+		}
+	}
+	groups, err := agg.finish()
+	if err != nil {
+		return err
+	}
+	e.mv.rows = make(map[string]tuple.Tuple, len(groups))
+	for _, g := range groups {
+		e.mv.rows[g.key] = g.row
+	}
 	if e.mv.global() && len(groups) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}
@@ -836,35 +868,37 @@ func (e *Engine) vImpact(t string, d Delta, signed []signedRow) error {
 		return e.rekey(t, d.Updates)
 	}
 
-	ctx, weights, err := e.deltaDetailShared(t, signed)
+	dd, err := e.deltaDetailShared(t, signed)
 	if err != nil {
 		return err
 	}
-	if len(ctx.rel.Rows) == 0 {
+	if len(dd.rows) == 0 {
 		return nil
 	}
-	e.stats.detailRows.Add(int64(len(ctx.rel.Rows)))
+	e.stats.detailRows.Add(int64(len(dd.rows)))
 
-	if !e.mv.hasNonCSMAS {
-		return e.adjustFromDetail(ctx, weights, false)
+	if len(e.mv.storedIdx) == 0 {
+		return e.adjustFromDetail(dd, nil)
 	}
-	allPositive := true
-	for _, w := range weights {
+	negative := false
+	for _, w := range dd.weights {
 		if w < 0 {
-			allPositive = false
+			negative = true
 			break
 		}
 	}
-	if e.mv.minMaxOnly && allPositive {
+	if len(e.mv.distinctIdx) == 0 && !negative {
 		// MIN/MAX are SMAs for insertions (Table 1): adjust incrementally
 		// and raise the extrema.
-		return e.adjustFromDetail(ctx, weights, true)
+		return e.adjustFromDetail(dd, nil)
 	}
-	groups, err := e.affectedGroups(ctx)
-	if err != nil {
+	// Decide once, before the serial/sharded dispatch, which groups the
+	// delta's net effect forces to recompute; the rest adjust.
+	recompute := e.splitAffected(dd)
+	if err := e.adjustFromDetail(dd, recompute); err != nil {
 		return err
 	}
-	return e.recomputeGroups(groups)
+	return e.recomputeGroups(recompute)
 }
 
 // rekey handles dimension updates when the root auxiliary view is omitted:
@@ -952,18 +986,9 @@ func (e *Engine) rekey(t string, updates []Update) error {
 	return nil
 }
 
-// auxLookup probes an auxiliary table's index through the engine's private
-// scratch buffers, so several engines of a shared class can probe the same
-// tables concurrently (the tables' own reusable buffers are not touched).
-// The returned slice is valid until the next auxLookup call on this engine.
-func (e *Engine) auxLookup(at *AuxTable, attr string, v types.Value) []tuple.Tuple {
-	e.lkRowBuf, e.lkKeyBuf = at.lookupInto(attr, v, e.lkRowBuf[:0], e.lkKeyBuf[:0])
-	return e.lkRowBuf
-}
-
 // prepareSharedIndexes eagerly builds every auxiliary index the maintenance
-// paths would otherwise create lazily (fullAuxDetail's join-edge indexes and
-// scopedAuxDetail's seed index). Engines of a shared class stage in parallel
+// paths would otherwise create lazily (the compiled plans' join-edge indexes
+// and the scoped seed index). Engines of a shared class stage in parallel
 // over the same auxiliary tables, and EnsureIndex mutates the table, so the
 // coordinator calls this once per engine before any concurrent staging;
 // afterwards every probe is a read.

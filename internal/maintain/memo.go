@@ -6,10 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"mindetail/internal/ra"
-	"mindetail/internal/tuple"
-	"mindetail/internal/types"
 )
 
 // DeltaMemo shares per-delta maintenance work across the engines of one
@@ -90,14 +86,6 @@ func (m *DeltaMemo) do(key string, compute func() (any, error)) (any, error) {
 	ent.val, ent.err = compute()
 	close(ent.done)
 	return ent.val, ent.err
-}
-
-// detailResult is the memoized outcome of the delta-detail join: the
-// weighted detail rows every matching engine adjusts or recomputes from.
-// Consumers treat both fields as read-only.
-type detailResult struct {
-	ctx     detailCtx
-	weights []int64
 }
 
 // buildMemoKey renders the engine's join-level memo key: every maintenance
@@ -212,93 +200,47 @@ func (e *Engine) expandFiltered(d Delta) ([]signedRow, error) {
 // join-level memo keys match consume one join result. The computing engine
 // reads its own auxiliary tables; consumers' tables are bit-identical
 // replicas (see DeltaMemo), so the result is valid for all of them.
-func (e *Engine) deltaDetailShared(t string, signed []signedRow) (detailCtx, []int64, error) {
+func (e *Engine) deltaDetailShared(t string, signed []signedRow) (*deltaRows, error) {
 	if e.memo == nil {
 		st := e.stageStart()
-		ctx, weights, err := e.deltaDetail(t, signed)
+		d, err := e.deltaDetail(t, signed)
 		e.stageEnd(StageDeltaJoin, st)
-		return ctx, weights, err
+		return d, err
 	}
 	v, err := e.memo.do("detail|"+t+"|"+e.memoKey, func() (any, error) {
 		st := e.stageStart()
 		defer func() { e.stageEnd(StageDeltaJoin, st) }()
-		ctx, weights, err := e.deltaDetail(t, signed)
-		if err != nil {
-			return nil, err
-		}
-		return &detailResult{ctx: ctx, weights: weights}, nil
+		return e.deltaDetail(t, signed)
 	})
 	if err != nil {
-		return detailCtx{}, nil, err
+		return nil, err
 	}
-	r := v.(*detailResult)
-	return r.ctx, r.weights, nil
+	return v.(*deltaRows), nil
 }
 
-// recomputedGroups derives the replacement rows for the affected groups —
-// scoped auxiliary detail (falling back to the full join) plus
-// re-aggregation. With a memo the whole pipeline is computed once per
-// (join key, affected-group set); the returned map is shared, and the
-// second result tells the caller to clone rows before installing them
-// (installed rows are mutated in place by later adjustments and by
-// rollback, and the memo's copy must stay pristine for other consumers).
-func (e *Engine) recomputedGroups(keys groupSet) (map[string]tuple.Tuple, bool, error) {
-	compute := func() (map[string]tuple.Tuple, error) {
-		var ctx detailCtx
-		scoped := false
-		// The scoped-vs-full decision: an explicit per-apply StrategyFull
-		// (or the engine-level ForceFullRecompute oracle knob) takes the
-		// full join; otherwise the scoped path is attempted and its shape
-		// check — a pure function of the plan, identical across replica
-		// engines — decides the fallback. With a memo the whole closure
-		// runs once per (join key, group set), and the strategy is part of
-		// the join key, so replicas never mix results from different paths.
-		if !e.ForceFullRecompute && e.strategy != StrategyFull {
-			var err error
-			ctx, scoped, err = e.scopedAuxDetail(keys)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !scoped {
-			full, err := e.fullAuxDetail()
-			if err != nil {
-				return nil, err
-			}
-			ctx = full
-		}
-		return e.computeGroups(ctx, keys)
-	}
+// recomputedGroups derives the replacement rows for the affected groups by
+// re-aggregating their detail (see reaggregate). The scoped-vs-full choice
+// in there is a pure function of the plan and the per-apply strategy, and
+// the strategy is part of the join key, so with a memo the pipeline runs
+// once per (join key, affected-group set) and replicas never mix results
+// from different paths. The second result tells the caller the rows are
+// shared and must be cloned before installation (installed rows are mutated
+// in place by later adjustments and by rollback, and the memo's copy must
+// stay pristine for other consumers).
+func (e *Engine) recomputedGroups(keys groupSet) ([]groupRow, bool, error) {
 	if e.memo == nil {
 		st := e.stageStart()
-		groups, err := compute()
+		groups, err := e.reaggregate(keys)
 		e.stageEnd(StageRecompute, st)
 		return groups, false, err
 	}
 	v, err := e.memo.do(recomputeMemoKey(e.memoKey, keys), func() (any, error) {
 		st := e.stageStart()
 		defer func() { e.stageEnd(StageRecompute, st) }()
-		return compute()
+		return e.reaggregate(keys)
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	return v.(map[string]tuple.Tuple), true, nil
-}
-
-// probeView adapts an auxiliary table to ra.Indexed with private probe
-// scratch: index-join evaluation through it never touches the table's own
-// reusable buffers, so several engines of a shared class can evaluate
-// index joins over the same tables concurrently.
-type probeView struct {
-	at  *AuxTable
-	buf []byte
-	out []tuple.Tuple
-}
-
-func (p *probeView) Cols() ra.Schema { return p.at.cols }
-
-func (p *probeView) Lookup(attr string, v types.Value) []tuple.Tuple {
-	p.out, p.buf = p.at.lookupInto(attr, v, p.out[:0], p.buf[:0])
-	return p.out
+	return v.([]groupRow), true, nil
 }

@@ -59,6 +59,9 @@ type Metrics struct {
 	memoMisses *obs.Counter // maintain.memo.misses
 	memoWaits  *obs.Counter // maintain.memo.waits
 
+	avoided      *obs.Counter // maintain.recompute.avoided (groups adjusted instead)
+	reaggregated *obs.Counter // maintain.recompute.rows (detail rows re-aggregated)
+
 	shardedStages *obs.Counter   // maintain.shard.stages (sharded stage executions)
 	shardRows     *obs.Histogram // maintain.shard.rows (rows per sharded stage)
 	shardWorkers  *obs.Gauge     // maintain.shard.workers (fan-out of the last stage)
@@ -83,6 +86,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.memoHits = reg.Counter("maintain.memo.hits")
 	m.memoMisses = reg.Counter("maintain.memo.misses")
 	m.memoWaits = reg.Counter("maintain.memo.waits")
+	m.avoided = reg.Counter("maintain.recompute.avoided")
+	m.reaggregated = reg.Counter("maintain.recompute.rows")
 	m.shardedStages = reg.Counter("maintain.shard.stages")
 	m.shardRows = reg.Histogram("maintain.shard.rows")
 	m.shardWorkers = reg.Gauge("maintain.shard.workers")

@@ -65,6 +65,15 @@ func TestMetricsStageAccounting(t *testing.T) {
 	if got := s.Histograms["maintain.stage.rollback_ns"].Count; got != 0 {
 		t.Errorf("rollback stage observed %d times on clean applies", got)
 	}
+	// The work counters are mirrored into the registry: the price update
+	// was adjusted instead of recomputed, the rest re-aggregated detail.
+	stats := f.engine.Stats()
+	if got := s.Counters["maintain.recompute.avoided"]; got != 1 || got != int64(stats.RecomputesAvoided) {
+		t.Errorf("maintain.recompute.avoided = %d, Stats say %d, want 1", got, stats.RecomputesAvoided)
+	}
+	if got := s.Counters["maintain.recompute.rows"]; got == 0 || got != int64(stats.ReaggregatedRows) {
+		t.Errorf("maintain.recompute.rows = %d, Stats say %d", got, stats.ReaggregatedRows)
+	}
 
 	events := s.Traces["maintain.applies"]
 	if len(events) != applies {

@@ -37,6 +37,20 @@ type component struct {
 	kind compKind
 	item ra.ProjItem // the view item this component belongs to
 	arg  ra.ColRef   // aggregate argument (compSum, compStored with arg)
+
+	// compStored only: DISTINCT aggregates fold a value set (dk is the
+	// component's ordinal among them); the rest are plain MIN or MAX.
+	distinct bool
+	max      bool
+	dk       int
+}
+
+// beats reports whether v replaces cur as a MIN/MAX component's extremum.
+func (c *component) beats(v, cur types.Value) bool {
+	if c.max {
+		return types.Compare(v, cur) > 0
+	}
+	return types.Compare(v, cur) < 0
 }
 
 // MaterializedView is the maintained state of V in component form.
@@ -50,10 +64,11 @@ type MaterializedView struct {
 	itemComps [][]int
 	gbIdx     []int // component indexes that are group-by columns
 
-	// hasNonCSMAS reports whether any stored (non-CSMAS) component exists;
-	// minMaxOnly additionally reports that all of them are plain MIN/MAX.
-	hasNonCSMAS bool
-	minMaxOnly  bool
+	// storedIdx lists the stored (non-CSMAS) components: distinctIdx the
+	// DISTINCT ones, extremaIdx the plain MIN/MAX ones.
+	storedIdx   []int
+	distinctIdx []int
+	extremaIdx  []int
 
 	// rows maps the encoded group-by key to the component tuple, with one
 	// extra trailing value: the hidden group COUNT(*).
@@ -63,7 +78,6 @@ type MaterializedView struct {
 // NewMaterializedView builds an empty maintenance form for the view.
 func NewMaterializedView(v *gpsj.View) *MaterializedView {
 	mv := &MaterializedView{view: v, rows: make(map[string]tuple.Tuple)}
-	mv.minMaxOnly = true
 	for _, it := range v.Items {
 		var idxs []int
 		add := func(c component) {
@@ -77,15 +91,18 @@ func NewMaterializedView(v *gpsj.View) *MaterializedView {
 			agg := it.Agg
 			switch {
 			case !aggregates.IsCSMAS(agg):
-				c := component{kind: compStored, item: it}
+				c := component{kind: compStored, item: it, distinct: agg.Distinct, max: agg.Func == ra.FuncMax}
 				if agg.Arg != nil {
 					c.arg = agg.Arg.(ra.ColRef)
 				}
-				add(c)
-				mv.hasNonCSMAS = true
-				if agg.Distinct || (agg.Func != ra.FuncMin && agg.Func != ra.FuncMax) {
-					mv.minMaxOnly = false
+				mv.storedIdx = append(mv.storedIdx, len(mv.comps))
+				if c.distinct {
+					c.dk = len(mv.distinctIdx)
+					mv.distinctIdx = append(mv.distinctIdx, len(mv.comps))
+				} else {
+					mv.extremaIdx = append(mv.extremaIdx, len(mv.comps))
 				}
+				add(c)
 			case agg.Func == ra.FuncCount:
 				add(component{kind: compCount, item: it})
 			case agg.Func == ra.FuncSum:
@@ -139,22 +156,18 @@ func (mv *MaterializedView) blank(gbVals []types.Value) tuple.Tuple {
 	return row
 }
 
-// adjust applies a signed weighted contribution to a group's CSMAS
+// adjustBuf applies a signed weighted contribution to a group's CSMAS
 // components and the hidden count: dCnt row-count units, and per-sum-
 // component value deltas. It creates the group when absent and removes it
-// when the hidden count returns to zero (unless the view is global).
-func (mv *MaterializedView) adjust(gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value) error {
-	return mv.adjustBuf(tuple.Tuple(gbVals).AppendKey(nil), gbVals, dCnt, sumDeltas)
-}
-
-// adjustBuf is adjust with the group key pre-encoded into a caller-owned
-// scratch buffer: lookups and deletes use string(key) conversions the
-// runtime elides, so the hot adjustment loop allocates a key string only
-// when a new group is created.
-func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value) error {
+// when the hidden count returns to zero (unless the view is global, or keep
+// defers the removal to the caller). The group key comes pre-encoded in a
+// caller-owned scratch buffer: lookups and deletes use string(key)
+// conversions the runtime elides, so the hot adjustment loop allocates a
+// key string only when a new group is created.
+func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value, keep bool) error {
 	row := mv.rows[string(key)]
 	existed := row != nil
-	out, err := mv.adjustRowCore(row, gbVals, dCnt, sumDeltas)
+	out, err := mv.adjustRowCore(row, gbVals, dCnt, sumDeltas, keep)
 	if err != nil {
 		return err
 	}
@@ -171,11 +184,17 @@ func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int
 // adjustRowCore applies one weighted contribution to a component row image
 // without touching the view's row map: row is the current image (nil =
 // absent; a blank group is created) and the result is the image afterwards
-// (nil = group death, never produced for a global view). Existing rows are
-// mutated in place. The caller reconciles the map — adjustBuf for the
-// serial path, the sharded overlay pipeline for parallel applies — so both
-// accumulate each group's components in bit-identical order.
-func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value) (tuple.Tuple, error) {
+// (nil = group death, never produced for a global view or under keep).
+// Existing rows are mutated in place. The caller reconciles the map —
+// adjustBuf for the serial path, the sharded overlay pipeline for parallel
+// applies — so both accumulate each group's components in bit-identical
+// order.
+//
+// keep serves views with stored components: a group whose only fact is
+// updated passes through count zero between the old image and the new, and
+// dropping it there would lose the stored values the delta provably does
+// not change. The caller removes groups still empty after the last row.
+func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value, keep bool) (tuple.Tuple, error) {
 	if row == nil {
 		row = mv.blank(gbVals)
 	}
@@ -188,56 +207,32 @@ func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value,
 			if !ok {
 				continue
 			}
-			if row[ci].IsNull() {
-				row[ci] = d
-			} else {
-				s, err := types.Add(row[ci], d)
-				if err != nil {
-					return row, err
-				}
-				row[ci] = s
+			if err := accumulate(&row[ci], d); err != nil {
+				return row, err
 			}
 		}
 	}
 	h := mv.hiddenIdx()
 	row[h] = types.Int(row[h].AsInt() + dCnt)
-	if row[h].AsInt() == 0 && !mv.global() {
-		return nil, nil
-	} else if row[h].AsInt() < 0 {
+	if row[h].AsInt() < 0 {
 		return row, fmt.Errorf("maintain: group %v count went negative (inconsistent delta stream)", gbVals)
+	}
+	if mv.empty(row) && !keep {
+		return nil, nil
 	}
 	return row, nil
 }
 
-// raiseExtrema updates stored MIN/MAX components with a candidate value —
-// the insertion-only SMA fast path of Table 1.
-func (mv *MaterializedView) raiseExtrema(gbVals []types.Value, ci int, v types.Value) {
-	mv.raiseExtremaBuf(tuple.Tuple(gbVals).AppendKey(nil), ci, v)
+// empty reports whether a group's hidden count says it holds no detail row
+// any more (a global view's single group is never empty in this sense).
+func (mv *MaterializedView) empty(row tuple.Tuple) bool {
+	return row[mv.hiddenIdx()].AsInt() == 0 && !mv.global()
 }
 
-// raiseExtremaBuf is raiseExtrema with a pre-encoded group key (no
-// allocation on lookup).
-func (mv *MaterializedView) raiseExtremaBuf(key []byte, ci int, v types.Value) {
-	row, ok := mv.rows[string(key)]
-	if !ok {
-		// adjust creates groups; raiseExtrema is called after it.
-		return
-	}
-	mv.raiseRow(row, ci, v)
-}
-
-// raiseRow is the row-image form of raiseExtremaBuf, shared with the
-// sharded overlay pipeline (which raises extrema on overlay copies before
-// they are installed).
+// raiseRow absorbs an inserted value into a stored MIN/MAX component — the
+// insertion-only SMA fast path of Table 1.
 func (mv *MaterializedView) raiseRow(row tuple.Tuple, ci int, v types.Value) {
-	c := mv.comps[ci]
-	cur := row[ci]
-	switch {
-	case cur.IsNull():
-		row[ci] = v
-	case c.item.Agg.Func == ra.FuncMin && types.Compare(v, cur) < 0:
-		row[ci] = v
-	case c.item.Agg.Func == ra.FuncMax && types.Compare(v, cur) > 0:
+	if row[ci].IsNull() || mv.comps[ci].beats(v, row[ci]) {
 		row[ci] = v
 	}
 }

@@ -125,6 +125,25 @@ func mvGroupSet(e *Engine) groupSet {
 	return keys
 }
 
+// reaggregated runs the recomputation kernel for the given groups on the
+// scoped or the full path, returning the rows by key and the number of
+// detail rows the kernel was fed.
+func reaggregated(t *testing.T, e *Engine, keys groupSet, full bool) (map[string]tuple.Tuple, int) {
+	t.Helper()
+	e.ForceFullRecompute = full
+	defer func() { e.ForceFullRecompute = false }()
+	before := e.Stats().ReaggregatedRows
+	groups, err := e.reaggregate(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]tuple.Tuple, len(groups))
+	for _, g := range groups {
+		out[g.key] = g.row
+	}
+	return out, e.Stats().ReaggregatedRows - before
+}
+
 // TestScopedAuxDetailMatchesFull asserts the heart of the delta-scoped
 // pipeline: for any affected-group set, the scoped detail aggregates to
 // exactly the same component rows as the full auxiliary re-join, while
@@ -143,33 +162,18 @@ func TestScopedAuxDetailMatchesFull(t *testing.T) {
 	if len(all) == 0 {
 		t.Fatal("no materialized groups")
 	}
-	full, err := e.fullAuxDetail()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAll, err := e.aggregateGroupsForTest(full, all)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantAll, fullRows := reaggregated(t, e, all, true)
 
 	// Every single-group subset must recompute identically through the
 	// scoped path, from strictly fewer detail rows.
 	for k, vals := range all {
 		sub := groupSet{k: vals}
-		ctx, ok, err := e.scopedAuxDetail(sub)
-		if err != nil {
-			t.Fatal(err)
+		if seed, err := e.scopedSeed(); err != nil || seed == nil {
+			t.Fatalf("scoped path declined for group %v (err %v)", vals, err)
 		}
-		if !ok {
-			t.Fatalf("scoped path declined for group %v", vals)
-		}
-		if len(ctx.rel.Rows) >= len(full.rel.Rows) && len(all) > 1 {
-			t.Fatalf("scoped detail for %v has %d rows, full has %d — no reduction",
-				vals, len(ctx.rel.Rows), len(full.rel.Rows))
-		}
-		got, err := e.aggregateGroupsForTest(ctx, sub)
-		if err != nil {
-			t.Fatal(err)
+		got, rows := reaggregated(t, e, sub, false)
+		if rows >= fullRows && len(all) > 1 {
+			t.Fatalf("scoped detail for %v has %d rows, full has %d — no reduction", vals, rows, fullRows)
 		}
 		if len(got) != 1 {
 			t.Fatalf("group %v: scoped recompute produced %d groups, want 1", vals, len(got))
@@ -180,23 +184,19 @@ func TestScopedAuxDetailMatchesFull(t *testing.T) {
 	}
 }
 
-// aggregateGroupsForTest runs computeGroups over a detail context (test
-// shim keeping the production signature private to this package's callers).
-func (e *Engine) aggregateGroupsForTest(ctx detailCtx, keys groupSet) (map[string]tuple.Tuple, error) {
-	return e.computeGroups(ctx, keys)
-}
-
-// TestParallelRecomputeMatchesSerial aggregates an above-threshold detail
-// relation with one worker and with many, asserting identical component
-// rows. Under -race this also proves the worker pool clean.
-func TestParallelRecomputeMatchesSerial(t *testing.T) {
+// TestLargeRecomputeMatchesInit re-aggregates every group of a several-
+// thousand-row detail through the scoped and the full path and asserts both
+// reproduce, cell for cell, the rows initialization computed from the base
+// tables — one kernel, three row sources — then checks a deletion-driven
+// recomputation end to end against a full-recompute shadow.
+func TestLargeRecomputeMatchesInit(t *testing.T) {
 	f := newFixture(t, retailDDL,
 		`SELECT day, SUM(price) AS total, COUNT(*) AS cnt, COUNT(DISTINCT brand) AS brands
 		 FROM sale, time, product
 		 WHERE sale.timeid = time.id AND sale.productid = product.id
 		 GROUP BY day`, true)
-	// A seed set large enough to clear parallelRecomputeThreshold, with
-	// distinct prices so the root view barely compresses.
+	// Distinct prices so the root view barely compresses; quarter prices so
+	// float sums are exact in any order.
 	ins := func(table string, vals ...types.Value) {
 		if err := f.db.Insert(table, tuple.Tuple(vals)); err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestParallelRecomputeMatchesSerial(t *testing.T) {
 		ins("product", types.Int(int64(id)), types.Str(fmt.Sprintf("b%d", id%7)), types.Str("c"))
 	}
 	ins("store", types.Int(1), types.Str("aalborg"), types.Str("kim"))
-	n := parallelRecomputeThreshold + 1000
+	n := 5096
 	for id := 1; id <= n; id++ {
 		ins("sale", types.Int(int64(id)), types.Int(int64(id%days+1)), types.Int(int64(id%19+1)),
 			types.Int(1), types.Float(float64(id%997)+0.25))
@@ -220,40 +220,23 @@ func TestParallelRecomputeMatchesSerial(t *testing.T) {
 	f.initEngine()
 	e := f.engine
 
-	full, err := e.fullAuxDetail()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.rel.Rows) < parallelRecomputeThreshold {
-		t.Fatalf("detail has %d rows, below parallel threshold %d", len(full.rel.Rows), parallelRecomputeThreshold)
-	}
-	e.Workers = 1
-	serial, err := e.computeGroups(full, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Workers = 8
-	parallel, err := e.computeGroups(full, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("serial produced %d groups, parallel %d", len(serial), len(parallel))
-	}
-	for k, want := range serial {
-		got, ok := parallel[k]
-		if !ok {
-			t.Fatalf("parallel result missing group %q", k)
+	all := mvGroupSet(e)
+	for _, full := range []bool{false, true} {
+		got, rows := reaggregated(t, e, all, full)
+		if rows < n/2 {
+			t.Fatalf("full=%v: kernel was fed %d rows, want a detail of thousands", full, rows)
 		}
-		if !tuple.Identical(got, want) {
-			t.Fatalf("group %q: parallel %v != serial %v", k, got, want)
+		if len(got) != len(e.mv.rows) {
+			t.Fatalf("full=%v: recomputed %d groups, initialization produced %d", full, len(got), len(e.mv.rows))
+		}
+		for k, want := range e.mv.rows {
+			if !tuple.Identical(got[k], want) {
+				t.Fatalf("full=%v group %q: recomputed %v != initialized %v", full, k, got[k], want)
+			}
 		}
 	}
 
-	// End to end: a deletion-driven recomputation (DISTINCT forces the
-	// recompute path) must leave the view identical under both pool sizes.
 	shadow := mustEngine(t, e.plan)
-	shadow.Workers = 1
 	shadow.ForceFullRecompute = true
 	if err := shadow.Init(func(tb string) *ra.Relation {
 		return ra.FromTable(f.db.Table(tb), tb)
@@ -272,7 +255,7 @@ func TestParallelRecomputeMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g, s := e.Snapshot().Format(), shadow.Snapshot().Format(); g != s {
-		t.Fatalf("scoped+parallel snapshot diverged from full+serial:\n%s\n---\n%s", g, s)
+		t.Fatalf("scoped snapshot diverged from full:\n%s\n---\n%s", g, s)
 	}
 }
 
@@ -286,11 +269,11 @@ func TestScopedPathFallsBackForGlobalViews(t *testing.T) {
 	f.seedRetail()
 	f.initEngine()
 
-	_, ok, err := f.engine.scopedAuxDetail(mvGroupSet(f.engine))
+	seed, err := f.engine.scopedSeed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if seed != nil {
 		t.Fatal("scoped path unexpectedly seeded a global view")
 	}
 	f.deleteRow("sale", 1) // forces recomputation through the fallback

@@ -1,14 +1,12 @@
 package maintain
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"mindetail/internal/faultinject"
-	"mindetail/internal/ra"
 	"mindetail/internal/tuple"
 	"mindetail/internal/types"
 )
@@ -298,40 +296,16 @@ func (e *Engine) auxApplySharded(at *AuxTable, rows []signedRow) error {
 }
 
 // adjustFromDetailSharded is adjustFromDetail with the per-group work
-// fanned across shard workers. The group-by closures are stateless and the
-// detail rows are read-only, so workers share the coordinator's bindings.
-func (e *Engine) adjustFromDetailSharded(ctx detailCtx, weights []int64, raise bool) error {
-	fns, err := e.gbFns(ctx.rel.Cols)
-	if err != nil {
-		return err
-	}
-	sums, err := e.bindSumArgs(ctx)
-	if err != nil {
-		return err
-	}
-	type storedBind struct {
-		comp int
-		pos  int
-	}
-	var stored []storedBind
-	if raise {
-		for ci, c := range e.mv.comps {
-			if c.kind != compStored {
-				continue
-			}
-			p, err := storedArgPos(ctx, c)
-			if err != nil {
-				return err
-			}
-			stored = append(stored, storedBind{comp: ci, pos: p})
-		}
-	}
-	rows := ctx.rel.Rows
+// fanned across shard workers. The compiled plan and the detail rows are
+// read-only, so workers share them.
+func (e *Engine) adjustFromDetailSharded(d *deltaRows, skip groupSet) error {
+	p, mv, rows := d.plan, e.mv, d.rows
+	keep := len(mv.storedIdx) > 0
 	shards := e.shardCount()
 	e.observeShard(len(rows), shards)
 	// The materialized view stays map-backed; its getter clones live rows.
 	getMV := func(key []byte) (tuple.Tuple, bool, error) {
-		row, ok := e.mv.rows[string(key)]
+		row, ok := mv.rows[string(key)]
 		if !ok {
 			return nil, false, nil
 		}
@@ -346,65 +320,48 @@ func (e *Engine) adjustFromDetailSharded(ctx detailCtx, weights []int64, raise b
 			defer wg.Done()
 			ov := &ovs[s]
 			ov.ents = make(map[string]*shardPending)
-			gbVals := make([]types.Value, len(fns))
-			sumDeltas := make(map[int]types.Value, len(sums))
+			gbVals := make([]types.Value, len(p.gbFlat))
+			sumDeltas := make(map[int]types.Value)
 			var buf []byte
 			var mine int64
 			defer func() { atomic.AddInt64(&adjusts, mine) }()
 			for ord, row := range rows {
-				buf = buf[:0]
-				for gi, f := range fns {
-					v, err := f(row)
-					if err != nil {
-						ov.err = err
-						return
-					}
-					gbVals[gi] = v
-					buf = types.Encode(buf, v)
-				}
+				buf = row.AppendKeyAt(buf[:0], p.gbFlat)
 				if int(fnv32(buf))%shards != s {
 					continue
 				}
-				w := weights[ord]
-				clear(sumDeltas)
-				for ci, sa := range sums {
-					var d types.Value
-					var err error
-					if sa.compressed {
-						sign := int64(1)
-						if w < 0 {
-							sign = -1
-						}
-						d, err = types.Mul(types.Int(sign), row[sa.pos])
-					} else {
-						d, err = types.Mul(types.Int(w), row[sa.pos])
-					}
-					if err != nil {
-						ov.err = err
-						return
-					}
-					sumDeltas[ci] = d
+				if _, ok := skip[string(buf)]; ok {
+					continue
 				}
-				if err := e.fi.Fire(faultinject.MVAdjustRow); err != nil {
-					ov.err = err
+				for gi, pos := range p.gbFlat {
+					gbVals[gi] = row[pos]
+				}
+				w := d.weights[ord]
+				if ov.err = mv.sumDeltas(p, row, w, sumDeltas); ov.err != nil {
 					return
 				}
-				p, err := ov.touch(buf, getMV, ord)
+				if ov.err = e.fi.Fire(faultinject.MVAdjustRow); ov.err != nil {
+					return
+				}
+				pend, err := ov.touch(buf, getMV, ord)
 				if err != nil {
 					ov.err = err
 					return
 				}
-				out, err := e.mv.adjustRowCore(p.row, gbVals, w, sumDeltas)
-				if err != nil {
-					ov.err = err
+				if pend.row, ov.err = mv.adjustRowCore(pend.row, gbVals, w, sumDeltas, keep); ov.err != nil {
 					return
 				}
-				p.row = out
 				mine++
-				if p.row != nil {
-					for _, sb := range stored {
-						e.mv.raiseRow(p.row, sb.comp, row[sb.pos])
+				if keep && w > 0 {
+					for _, ci := range mv.extremaIdx {
+						mv.raiseRow(pend.row, ci, row[p.args[ci].flat])
 					}
+				}
+			}
+			// Under keep, groups still empty after the last row die here.
+			for _, pend := range ov.order {
+				if pend.row != nil && mv.empty(pend.row) {
+					pend.row = nil
 				}
 			}
 		}(s)
@@ -418,77 +375,69 @@ func (e *Engine) adjustFromDetailSharded(ctx detailCtx, weights []int64, raise b
 	if err := e.fi.Fire(faultinject.ShardMVInstall); err != nil {
 		return err
 	}
-	for _, p := range installs {
-		if !p.existed && p.row == nil {
+	for _, pend := range installs {
+		if !pend.existed && pend.row == nil {
 			continue
 		}
-		e.jnl.noteMVKey(e.mv, p.key)
-		if p.existed && p.row == nil {
-			delete(e.mv.rows, p.key)
+		e.jnl.noteMVKey(mv, pend.key)
+		if pend.existed && pend.row == nil {
+			delete(mv.rows, pend.key)
 		} else {
-			e.mv.rows[p.key] = p.row
+			mv.rows[pend.key] = pend.row
 		}
 	}
 	return nil
 }
 
-// deltaDetailChunked is deltaDetail with the outward join fanned across
-// chunk workers: the signed rows split into contiguous chunks, each worker
-// joins its chunk with private probe scratch (the auxiliary tables are
-// quiescent and read-only during the phase), and the results concatenate
-// in chunk order. Because joinOutward folds edges in sorted order and
-// preserves row order within a chunk, the concatenation is identical —
-// rows, weights, order, and column layout — to the serial join.
-func (e *Engine) deltaDetailChunked(t string, signed []signedRow) (detailCtx, []int64, error) {
-	cols := e.baseCols(t) // warm the per-table caches before workers share them
-	needed := e.tablesFor(t)
+// deltaDetailChunked is deltaDetail with the join fanned across chunk
+// workers: the signed rows split into contiguous chunks, each worker walks
+// its chunk with private scratch (the auxiliary tables are quiescent and
+// read-only during the phase), and the results concatenate in chunk order.
+// The walk emits rows in signed-row order, so the concatenation is
+// identical — rows, weights, order — to the serial join.
+func (e *Engine) deltaDetailChunked(p *detailPlan, signed []signedRow) (*deltaRows, error) {
 	shards := e.shardCount()
 	if shards > len(signed) {
 		shards = len(signed)
 	}
 	chunk := (len(signed) + shards - 1) / shards
-	var sts []*joinState
-	for lo := 0; lo < len(signed); lo += chunk {
-		hi := lo + chunk
-		if hi > len(signed) {
-			hi = len(signed)
-		}
-		st := &joinState{
-			cols:     cols,
-			rows:     make([]tuple.Tuple, hi-lo),
-			weights:  make([]int64, hi-lo),
-			included: map[string]bool{t: true},
-			ctx:      newDetailCtx(),
-			lk:       &probeScratch{},
-		}
-		for i, sr := range signed[lo:hi] {
-			st.rows[i] = sr.row
-			st.weights[i] = sr.s
-		}
-		sts = append(sts, st)
-	}
-	errs := make([]error, len(sts))
+	n := (len(signed) + chunk - 1) / chunk
+	outs := make([]*deltaRows, n)
+	errs := make([]error, n)
+	var probes atomic.Int64
 	var wg sync.WaitGroup
-	for i, st := range sts {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, st *joinState) {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = e.joinOutward(st, needed)
-		}(i, st)
+			var w joinWalker
+			outs[i], errs[i] = joinSigned(&w, p, signed[i*chunk:min((i+1)*chunk, len(signed))])
+			probes.Add(w.probes)
+		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	e.stats.auxLookups.Add(probes.Load())
+	out := outs[0]
+	for i, err := range errs {
 		if err != nil {
-			return sts[0].ctx, nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
+			return nil, err
+		}
+		if i > 0 {
+			out.rows = append(out.rows, outs[i].rows...)
+			out.weights = append(out.weights, outs[i].weights...)
 		}
 	}
-	out := sts[0]
-	for _, st := range sts[1:] {
-		out.rows = append(out.rows, st.rows...)
-		out.weights = append(out.weights, st.weights...)
+	return out, nil
+}
+
+// fnv32 is the FNV-1a hash of b, used to shard rows by group key.
+func fnv32(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
 	}
-	out.ctx.rel = &ra.Relation{Cols: out.ctx.rel.Cols, Rows: out.rows}
-	return out.ctx, out.weights, nil
+	return h
 }
 
 // observeShard publishes the sharded-stage metrics (no-op without a sink).

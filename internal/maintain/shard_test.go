@@ -127,6 +127,7 @@ func TestShardedApplyMatchesSerial(t *testing.T) {
 	}{
 		{"csmas", shardCSMASSQL},
 		{"distinct_recompute", productSalesSQL},
+		{"stored_mixed", storedMixSQL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := newFixture(t, retailDDL, tc.sql, true)
@@ -199,8 +200,9 @@ func TestShardedMinRowsThreshold(t *testing.T) {
 // TestFaultInjectionShardedApply sweeps an injected failure through every
 // reachable injection point of sharded applies — including the new
 // ShardAuxInstall and ShardMVInstall points and the worker-fired per-row
-// points — and requires bit-identical rollback every time. Covers both the
-// incremental CSMAS path and the recompute (DISTINCT) path.
+// points — and requires bit-identical rollback every time. Covers the
+// incremental CSMAS path, the recompute (DISTINCT) path, and deltas the
+// net-effect split divides between adjusting and recomputing groups.
 func TestFaultInjectionShardedApply(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -208,6 +210,7 @@ func TestFaultInjectionShardedApply(t *testing.T) {
 	}{
 		{"csmas", shardCSMASSQL},
 		{"distinct_recompute", productSalesSQL},
+		{"stored_mixed", storedMixSQL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFixture(t, retailDDL, tc.sql, true)

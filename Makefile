@@ -28,13 +28,13 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrent layers: the maintenance engine (recompute
-# worker pool, delta memo, parallel shared-class staging, sharded
-# applies), the warehouse (parallel propagation, lock-free reads, online
-# backfill, the group-commit batch pipeline), the write-ahead log (group
-# committer), the lock-free observability primitives, the wire server
-# (concurrent sessions, admission control, disconnect drain), and the
-# pager (buffer-pool pin/unpin and eviction under shared stores).
+# Race-check the concurrent layers: the maintenance engine (delta memo,
+# parallel shared-class staging), the warehouse (parallel propagation,
+# lock-free reads, online backfill, the group-commit batch pipeline), the
+# write-ahead log (group committer), the lock-free observability
+# primitives, the wire server (concurrent sessions, admission control,
+# disconnect drain), and the pager (buffer-pool pin/unpin and eviction
+# under shared stores).
 #
 # The package set is derived from `go list` so a NEW package is race-
 # checked by default; RACE_SKIP only excludes the serial drivers whose
@@ -52,7 +52,7 @@ race-all:
 # of `test`): every injection point of every corpus statement — DML and
 # the online CREATE/DROP MATERIALIZED VIEW backfill — must roll back to
 # bit-identical state, and, with a WAL attached, recover to it from the
-# on-disk bytes, under the race detector. Covers the sharded apply paths,
+# on-disk bytes, under the race detector. Covers multi-row bulk applies,
 # the group-commit batch pipeline, the torn-write sweeps (batch commits,
 # mid-backfill deltas, drops), and the out-of-core stores (page-codec
 # fuzz corpus, eviction-boundary rollback, paged recovery sweeps).

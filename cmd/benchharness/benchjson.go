@@ -241,11 +241,11 @@ func runBenchJSON(path string) error {
 	}
 	results = append(results, walBenches...)
 
-	shardBenches, err := runShardBenches()
+	batchBenches, err := runBatchBenches()
 	if err != nil {
 		return err
 	}
-	results = append(results, shardBenches...)
+	results = append(results, batchBenches...)
 
 	serverQPS, err := runServerBench()
 	if err != nil {
@@ -258,12 +258,6 @@ func runBenchJSON(path string) error {
 		return err
 	}
 	results = append(results, outOfCore...)
-
-	adaptive, err := runAdaptiveBenches()
-	if err != nil {
-		return err
-	}
-	results = append(results, adaptive...)
 
 	zoo, err := runZooBenches()
 	if err != nil {

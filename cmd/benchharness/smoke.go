@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"mindetail/internal/maintain"
 	"mindetail/internal/tuple"
 	"mindetail/internal/types"
 )
@@ -28,15 +27,13 @@ func smokeGateNames() []string {
 		"GroupKeyEncode/KeyAt",
 		"WALAppendThroughput",
 		"RecoveryReplay/200-deltas",
-		"ShardedPropagate2",
-		"ShardedPropagate4",
-		"ShardedPropagate8",
+		"BatchPropagate2",
+		"BatchPropagate4",
+		"BatchPropagate8",
 		"WALGroupCommitThroughput",
 		"ServerQPS",
 		"OutOfCoreMaintain/memory",
 		"OutOfCoreMaintain/paged",
-		"AdaptiveMaintain/homog-small/static-scoped",
-		"AdaptiveMaintain/homog-small/adaptive",
 		"OnlineBackfillUnderLoad",
 		"ZipfSkewMaintain",
 		"TinyGroupsFanout",
@@ -110,8 +107,9 @@ func runSmoke(path string) error {
 
 // smokeSubset measures the gate's benchmark subset: the headline
 // maintenance hot path without instrumentation, the group-key encoder,
-// both durability benchmarks, the sharded and adaptive apply paths, the
-// wire server, and the out-of-core stores. Keep smokeGateNames in sync.
+// both durability benchmarks, the batch write pipeline, the wire server,
+// the out-of-core stores, and the workload zoo. Keep smokeGateNames in
+// sync.
 func smokeSubset() ([]benchResult, error) {
 	var results []benchResult
 
@@ -141,15 +139,15 @@ func smokeSubset() ([]benchResult, error) {
 	}
 	results = append(results, walBenches...)
 
-	// The sharded write pipeline: the scaling configs (fan-out 2/4/8) and
-	// the group-commit throughput, so a regression in shard partitioning,
-	// coalescing, or fsync batching fails the gate.
-	for _, shards := range []int{2, 4, 8} {
-		r, err := benchShardedPropagate(shards)
+	// The batch write pipeline: batch depths 2/4/8 and the group-commit
+	// throughput, so a regression in coalescing or fsync batching fails the
+	// gate.
+	for _, depth := range []int{2, 4, 8} {
+		r, err := benchBatchPropagate(depth)
 		if err != nil {
 			return nil, err
 		}
-		results = append(results, toResult(fmt.Sprintf("ShardedPropagate%d", shards), r))
+		results = append(results, toResult(fmt.Sprintf("BatchPropagate%d", depth), r))
 	}
 	group, err := benchWALGroupCommit()
 	if err != nil {
@@ -174,21 +172,6 @@ func smokeSubset() ([]benchResult, error) {
 		return nil, err
 	}
 	results = append(results, outOfCore...)
-
-	// The adaptive chooser next to its best static policy on the stream
-	// where static is optimal: a chooser that stops getting out of the way
-	// regresses the adaptive cell and fails the gate.
-	for _, adaptive := range []bool{false, true} {
-		name, strat := "AdaptiveMaintain/homog-small/static-scoped", maintain.StrategyScoped
-		if adaptive {
-			name, strat = "AdaptiveMaintain/homog-small/adaptive", maintain.StrategyAuto
-		}
-		r, err := runAdaptivePolicy("homog-small", strat, adaptive)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, toResult(name, r))
-	}
 
 	// The workload zoo: each maintenance regime plus online DDL under
 	// concurrent load, so a regression confined to one regime — skew,

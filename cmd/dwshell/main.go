@@ -101,7 +101,7 @@ type shell struct {
 // swap (\load, \open) so the new instance keeps feeding the same log.
 func (s *shell) hookAdvisor(w *warehouse.Warehouse) {
 	if s.adv == nil {
-		s.adv = costmodel.NewAdvisor()
+		s.adv = new(costmodel.Advisor)
 	}
 	w.SetOpLog(func(ev warehouse.OpEvent) {
 		kind := costmodel.EventQuery

@@ -68,7 +68,7 @@ func loadRetail(wh *warehouse.Warehouse, env *experiments.Env) (int, error) {
 // log for candidate GPSJ views under the space budget, materializes the
 // picks, and replays the same workload against them to report the measured
 // net cost with and without the advised views.
-func runAdvise(w io.Writer, scale, deltas int, mixName string, budget, shards int) error {
+func runAdvise(w io.Writer, scale, deltas int, mixName string, budget int) error {
 	var mix workload.Mix
 	switch mixName {
 	case "default":
@@ -89,10 +89,6 @@ func runAdvise(w io.Writer, scale, deltas int, mixName string, budget, shards in
 	if _, err := wh.Exec(workload.DDL()); err != nil {
 		return err
 	}
-	if shards > 1 {
-		wh.SetEngineShards(shards)
-		fmt.Fprintf(w, "sharded applies: %d-way fan-out\n", shards)
-	}
 	loaded, err := loadRetail(wh, env)
 	if err != nil {
 		return err
@@ -105,7 +101,7 @@ func runAdvise(w io.Writer, scale, deltas int, mixName string, budget, shards in
 	// Record phase: the warehouse op log feeds the advisor while the
 	// interleaved workload runs — a query sweep every few deltas, the way an
 	// analyst would poll a warehouse under a trickle feed.
-	adv := costmodel.NewAdvisor()
+	adv := new(costmodel.Advisor)
 	wh.SetOpLog(func(ev warehouse.OpEvent) {
 		kind := costmodel.EventQuery
 		if ev.Kind == "delta" {

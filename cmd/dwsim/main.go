@@ -29,7 +29,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the observability snapshot (stage histograms, counters, traces) as JSON after the run")
 	walDir := flag.String("wal", "", "durability mode: run the scenario against a durable warehouse in this directory (WAL + snapshot), ending with a recovery self-check")
 	walSync := flag.String("wal-sync", "commit", "WAL fsync policy in -wal mode: always, commit, or never")
-	shards := flag.Int("shards", 1, "shard fan-out for the maintenance engines (1 = serial applies)")
 	batch := flag.Int("batch", 1, "in -wal mode, deltas per group-committed batch (1 = one fsync per delta)")
 	auxDisk := flag.Bool("aux-disk", false, "keep the auxiliary views out of core in slotted-page stores (a scratch directory of page files) instead of in memory")
 	cachePages := flag.Int("cache-pages", 256, "in -aux-disk mode, buffer-pool frames per auxiliary store")
@@ -45,11 +44,11 @@ func main() {
 	case *zoo != "":
 		err = runZoo(os.Stdout, *zoo, *scale, *deltas, *seed)
 	case *advise:
-		err = runAdvise(os.Stdout, *scale, *deltas, *mixName, *adviseBudget, *shards)
+		err = runAdvise(os.Stdout, *scale, *deltas, *mixName, *adviseBudget)
 	case *walDir != "":
-		err = runWAL(os.Stdout, *walDir, *scale, *deltas, *mixName, *view, *walSync, *shards, *batch, *auxDisk, *cachePages)
+		err = runWAL(os.Stdout, *walDir, *scale, *deltas, *mixName, *view, *walSync, *batch, *auxDisk, *cachePages)
 	default:
-		err = run(os.Stdout, *scale, *deltas, *mixName, *view, *metrics, *shards, *auxDisk, *cachePages)
+		err = run(os.Stdout, *scale, *deltas, *mixName, *view, *metrics, *auxDisk, *cachePages)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dwsim:", err)
@@ -92,7 +91,7 @@ func printStoreStats(w io.Writer, fac *pager.Factory) {
 	}
 }
 
-func run(w io.Writer, scale, deltas int, mixName, view string, metrics bool, shards int, auxDisk bool, cachePages int) error {
+func run(w io.Writer, scale, deltas int, mixName, view string, metrics bool, auxDisk bool, cachePages int) error {
 	var mix workload.Mix
 	switch mixName {
 	case "default":
@@ -128,10 +127,6 @@ func run(w io.Writer, scale, deltas int, mixName, view string, metrics bool, sha
 	eng, err := env.MinimalEngine(viewSQL)
 	if err != nil {
 		return err
-	}
-	if shards > 1 {
-		eng.Shards = shards
-		fmt.Fprintf(w, "sharded applies: %d-way fan-out\n", shards)
 	}
 	var fac *pager.Factory
 	if auxDisk {

@@ -8,7 +8,7 @@ import (
 func TestRunSimulator(t *testing.T) {
 	for _, view := range []string{"paper", "csmas", "elimination"} {
 		var b strings.Builder
-		if err := run(&b, 1500, 30, "default", view, false, 1, false, 0); err != nil {
+		if err := run(&b, 1500, 30, "default", view, false, false, 0); err != nil {
 			t.Fatalf("%s: %v", view, err)
 		}
 		out := b.String()
@@ -22,7 +22,7 @@ func TestRunSimulator(t *testing.T) {
 
 func TestRunInsertOnlyMix(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 1500, 20, "insert-only", "csmas", false, 1, false, 0); err != nil {
+	if err := run(&b, 1500, 20, "insert-only", "csmas", false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "group adjusts") {
@@ -32,17 +32,17 @@ func TestRunInsertOnlyMix(t *testing.T) {
 
 func TestRunBadArgs(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 1000, 10, "bogus", "paper", false, 1, false, 0); err == nil {
+	if err := run(&b, 1000, 10, "bogus", "paper", false, false, 0); err == nil {
 		t.Error("bad mix accepted")
 	}
-	if err := run(&b, 1000, 10, "default", "bogus", false, 1, false, 0); err == nil {
+	if err := run(&b, 1000, 10, "default", "bogus", false, false, 0); err == nil {
 		t.Error("bad view accepted")
 	}
 }
 
 func TestRunMetricsDump(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 1500, 20, "default", "paper", true, 1, false, 0); err != nil {
+	if err := run(&b, 1500, 20, "default", "paper", true, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -76,7 +76,7 @@ func TestFlagInteractions(t *testing.T) {
 		batch  int
 	}{
 		{"", false, 1},          // plain run
-		{"", true, 1},           // -advise (with or without -shards)
+		{"", true, 1},           // -advise
 		{t.TempDir(), false, 8}, // -wal -batch
 	} {
 		if err := validateFlags(ok.wal, ok.advise, ok.batch); err != nil {
@@ -89,7 +89,7 @@ func TestFlagInteractions(t *testing.T) {
 // auxiliary views to page files too.
 func TestRunAuxDiskWithoutWAL(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, 1500, 20, "default", "paper", false, 1, true, 64); err != nil {
+	if err := run(&b, 1500, 20, "default", "paper", false, true, 64); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -100,16 +100,15 @@ func TestRunAuxDiskWithoutWAL(t *testing.T) {
 	}
 }
 
-// -advise records a workload, ranks candidates, materializes the picks
-// (respecting -shards), and reports the measured net cost delta.
+// -advise records a workload, ranks candidates, materializes the picks,
+// and reports the measured net cost delta.
 func TestRunAdvise(t *testing.T) {
 	var b strings.Builder
-	if err := runAdvise(&b, 1500, 30, "default", 0, 2); err != nil {
+	if err := runAdvise(&b, 1500, 30, "default", 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"sharded applies: 2-way fan-out",
 		"candidates (ranked by benefit density):",
 		"advised_1",
 		"replay without picks:",
@@ -121,13 +120,13 @@ func TestRunAdvise(t *testing.T) {
 	}
 	// A 1-byte budget fits nothing: every viable candidate is over budget.
 	var tight strings.Builder
-	if err := runAdvise(&tight, 1500, 30, "default", 1, 1); err != nil {
+	if err := runAdvise(&tight, 1500, 30, "default", 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(tight.String(), "over budget") {
 		t.Errorf("tight budget should leave candidates over budget:\n%s", tight.String())
 	}
-	if err := runAdvise(&b, 1500, 10, "bogus", 0, 1); err == nil {
+	if err := runAdvise(&b, 1500, 10, "bogus", 0); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
@@ -135,7 +134,7 @@ func TestRunAdvise(t *testing.T) {
 func TestRunWALMode(t *testing.T) {
 	dir := t.TempDir() + "/dw"
 	var b strings.Builder
-	if err := runWAL(&b, dir, 1500, 30, "default", "paper", "never", 1, 1, false, 0); err != nil {
+	if err := runWAL(&b, dir, 1500, 30, "default", "paper", "never", 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -148,30 +147,30 @@ func TestRunWALMode(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Sharded engines + group-committed batches land on the same recovered
-	// state (the self-check inside runWAL compares live vs recovered).
+	// Group-committed batches land on the same recovered state (the
+	// self-check inside runWAL compares live vs recovered).
 	var sb strings.Builder
-	if err := runWAL(&sb, t.TempDir()+"/sharded", 1500, 30, "insert-only", "paper", "never", 4, 8, false, 0); err != nil {
+	if err := runWAL(&sb, t.TempDir()+"/batched", 1500, 30, "insert-only", "paper", "never", 8, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sharded applies: 4-way fan-out", "batch=8", "recovery self-check: OK"} {
+	for _, want := range []string{"batch=8", "recovery self-check: OK"} {
 		if !strings.Contains(sb.String(), want) {
-			t.Errorf("sharded run missing %q:\n%s", want, sb.String())
+			t.Errorf("batched run missing %q:\n%s", want, sb.String())
 		}
 	}
 
 	// Reusing a non-empty directory is refused.
-	if err := runWAL(&b, dir, 1500, 30, "default", "paper", "never", 1, 1, false, 0); err == nil {
+	if err := runWAL(&b, dir, 1500, 30, "default", "paper", "never", 1, false, 0); err == nil {
 		t.Error("non-empty directory accepted")
 	}
 	// Bad arguments surface as errors.
-	if err := runWAL(&b, t.TempDir()+"/x", 1500, 5, "bogus", "paper", "never", 1, 1, false, 0); err == nil {
+	if err := runWAL(&b, t.TempDir()+"/x", 1500, 5, "bogus", "paper", "never", 1, false, 0); err == nil {
 		t.Error("bad mix accepted")
 	}
-	if err := runWAL(&b, t.TempDir()+"/y", 1500, 5, "default", "bogus", "never", 1, 1, false, 0); err == nil {
+	if err := runWAL(&b, t.TempDir()+"/y", 1500, 5, "default", "bogus", "never", 1, false, 0); err == nil {
 		t.Error("bad view accepted")
 	}
-	if err := runWAL(&b, t.TempDir()+"/z", 1500, 5, "default", "paper", "bogus", 1, 1, false, 0); err == nil {
+	if err := runWAL(&b, t.TempDir()+"/z", 1500, 5, "default", "paper", "bogus", 1, false, 0); err == nil {
 		t.Error("bad sync policy accepted")
 	}
 }

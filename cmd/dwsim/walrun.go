@@ -26,7 +26,7 @@ import (
 // applied. The run ends with a recovery self-check: the directory is
 // reopened and the recovered warehouse must match the live one byte for
 // byte.
-func runWAL(w io.Writer, dir string, scale, deltas int, mixName, view, syncName string, shards, batch int, auxDisk bool, cachePages int) error {
+func runWAL(w io.Writer, dir string, scale, deltas int, mixName, view, syncName string, batch int, auxDisk bool, cachePages int) error {
 	var sync wal.SyncPolicy
 	switch syncName {
 	case "always":
@@ -79,10 +79,6 @@ func runWAL(w io.Writer, dir string, scale, deltas int, mixName, view, syncName 
 	}
 	if _, err := dw.Exec(workload.DDL()); err != nil {
 		return err
-	}
-	if shards > 1 {
-		dw.SetEngineShards(shards)
-		fmt.Fprintf(w, "sharded applies: %d-way fan-out\n", shards)
 	}
 	var fac *pager.Factory
 	if auxDisk {

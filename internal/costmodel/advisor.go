@@ -1,3 +1,8 @@
+// Package costmodel is the view-selection advisor: it mines a workload log
+// of queries and committed deltas (the warehouse's op log) and ranks the
+// ad-hoc query clusters worth materializing under a space budget, pricing
+// each by the minimal auxiliary data its derivation keeps. `dwshell
+// \advise` and `dwsim -advise` drive it.
 package costmodel
 
 import (
@@ -43,14 +48,12 @@ type Event struct {
 // space budget (the paper's Section 3.3 economics: a view is worth
 // materializing when the query time it saves outweighs the maintenance cost
 // its auxiliary data adds — and the best candidates are those whose
-// auxiliary views are eliminable entirely). Safe for concurrent Record.
+// auxiliary views are eliminable entirely). The zero value is an empty
+// advisor, ready to use; it is safe for concurrent Record.
 type Advisor struct {
 	mu     sync.Mutex
 	events []Event
 }
-
-// NewAdvisor returns an empty advisor.
-func NewAdvisor() *Advisor { return &Advisor{} }
 
 // Record appends one workload event.
 func (a *Advisor) Record(ev Event) {

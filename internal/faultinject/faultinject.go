@@ -25,7 +25,7 @@ import (
 type Point int32
 
 const (
-	// EngineValidated fires in Engine.ApplyStaged after the validate-first
+	// EngineValidated fires in Engine.StageWithMemo after the validate-first
 	// pass, before the first mutation.
 	EngineValidated Point = iota
 	// AuxAdjustStart fires in AuxTable.Adjust after the group key is
@@ -35,7 +35,7 @@ const (
 	// created/adjusted but before the group count is updated — in the
 	// middle of a logically atomic operation.
 	AuxAdjustMid
-	// EngineAuxApplied fires in Engine.ApplyStaged after the auxiliary
+	// EngineAuxApplied fires in Engine.StageWithMemo after the auxiliary
 	// table was maintained, before the materialized view is touched (the
 	// historical partial-apply gap between X and V).
 	EngineAuxApplied
@@ -59,14 +59,6 @@ const (
 	// apply begins — a crash here leaves a durable intent with no outcome,
 	// which recovery must discard.
 	WALLogged
-	// ShardAuxInstall fires in the sharded apply pipeline after the shard
-	// workers computed their auxiliary-table overlays, before the serial
-	// install phase writes the first overlay entry back into the table.
-	ShardAuxInstall
-	// ShardMVInstall fires in the sharded apply pipeline after the shard
-	// workers computed their materialized-view overlays, before the serial
-	// install phase writes the first group back into the view.
-	ShardMVInstall
 	// BatchCommit fires in Warehouse.ApplyDeltaBatch after every delta of
 	// the batch was logged and applied, before the group commit record(s)
 	// are appended and fsynced — a crash here leaves a tail of durable
@@ -81,11 +73,6 @@ const (
 	// the WAL flushed-LSN rule was enforced but before the page bytes reach
 	// the file — the moment a torn page write would happen on a crash.
 	PageFlush
-	// DeferFlush fires in Warehouse.AdaptiveSession.Flush after deferred
-	// deltas were collected for batching, before the batch apply begins —
-	// a failure here must leave every buffered delta still pending, with
-	// no view or WAL effect.
-	DeferFlush
 	// BackfillSnapshot fires in the online CREATE MATERIALIZED VIEW path
 	// after the DDL intent was logged and the source snapshot cloned under
 	// the warehouse lock, before the background scan starts — a crash here
@@ -122,12 +109,9 @@ var pointNames = [NumPoints]string{
 	"PropagateView",
 	"SourceApplied",
 	"WALLogged",
-	"ShardAuxInstall",
-	"ShardMVInstall",
 	"BatchCommit",
 	"PageEvict",
 	"PageFlush",
-	"DeferFlush",
 	"BackfillSnapshot",
 	"BackfillScan",
 	"BackfillCatchUp",

@@ -267,7 +267,7 @@ func (e *Engine) scopedSeed() (*seedSpec, error) {
 // kernel, which filters by exact group key.
 func (e *Engine) reaggregate(keys groupSet) ([]groupRow, error) {
 	var seed *seedSpec
-	if !e.ForceFullRecompute && e.strategy != StrategyFull {
+	if !e.ForceFullRecompute {
 		var err error
 		if seed, err = e.scopedSeed(); err != nil {
 			return nil, err

@@ -55,7 +55,8 @@ type AuxTable struct {
 	// failed read during staging would otherwise silently drop rows from a
 	// scoped recomputation; the engine drains this after applying a delta
 	// and rolls back if a read failed. Guarded by a mutex because the
-	// sharded apply path probes child tables from concurrent workers.
+	// engines of a shared class stage in parallel and probe one table from
+	// several goroutines.
 	readErrMu sync.Mutex
 	readErr   error
 }
@@ -438,9 +439,8 @@ func (t *AuxTable) Adjust(plainVals tuple.Tuple, sumDeltas map[string]types.Valu
 // touching the table's row map or indexes: row is the current image (nil =
 // absent group) and the result is the image afterwards (nil = PSJ removal
 // or group death). Existing compressed rows are mutated in place; fresh
-// groups allocate. The caller reconciles storage — map, indexes, undo
-// journal. Shared by the serial Adjust path and the sharded overlay
-// pipeline, so both apply bit-identical arithmetic.
+// groups allocate. The caller, Adjust, reconciles storage — store and
+// indexes.
 func (t *AuxTable) adjustCore(row tuple.Tuple, plainVals tuple.Tuple, sumDeltas map[string]types.Value, extrema map[string]types.Value, dCnt int64) (tuple.Tuple, error) {
 	if t.def.IsPSJ {
 		switch {

@@ -44,31 +44,21 @@ type groupSet map[string][]types.Value
 // rows: the root COUNT(*) multiplies in when climbing through a compressed
 // root view.
 func (e *Engine) deltaDetail(t string, signed []signedRow) (*deltaRows, error) {
-	var d *deltaRows
 	p, err := e.detailPlanFor(t, true)
-	switch {
-	case err != nil:
-	case e.shardable(len(signed)):
-		d, err = e.deltaDetailChunked(p, signed)
-	default:
-		d, err = joinSigned(&e.walker, p, signed)
-		e.stats.auxLookups.Add(e.walker.probes)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
 	}
-	return d, nil
-}
-
-// joinSigned walks every signed row through the plan with the given walker.
-func joinSigned(w *joinWalker, p *detailPlan, signed []signedRow) (*deltaRows, error) {
 	d := &deltaRows{plan: p, rows: make([]tuple.Tuple, 0, len(signed)), weights: make([]int64, 0, len(signed))}
-	w.reset(p, d.appendRow)
-	defer w.release()
+	e.walker.reset(p, d.appendRow)
 	for _, sr := range signed {
-		if err := w.walk(sr.row, sr.s); err != nil {
-			return nil, err
+		if err = e.walker.walk(sr.row, sr.s); err != nil {
+			break
 		}
+	}
+	e.walker.release()
+	e.stats.auxLookups.Add(e.walker.probes)
+	if err != nil {
+		return nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
 	}
 	return d, nil
 }
@@ -108,9 +98,6 @@ func (mv *MaterializedView) sumDeltas(p *detailPlan, row tuple.Tuple, w int64, o
 // sum-delta map is cleared and reused, so the steady-state loop allocates
 // only on group creation.
 func (e *Engine) adjustFromDetail(d *deltaRows, skip groupSet) error {
-	if e.shardable(len(d.rows)) && !e.mv.global() {
-		return e.adjustFromDetailSharded(d, skip)
-	}
 	p, mv := d.plan, e.mv
 	keep := len(mv.storedIdx) > 0
 	gbVals := make([]types.Value, len(p.gbFlat))
@@ -176,8 +163,8 @@ func (e *Engine) adjustFromDetail(d *deltaRows, skip groupSet) error {
 //
 // It returns the groups to recompute; every other group adjusts. The
 // decision is a pure function of the (memo-shared) rows and the engine's
-// own stored rows, so replica engines decide identically. The oracle paths
-// (ForceFullRecompute, StrategyFull) recompute every affected group.
+// own stored rows, so replica engines decide identically. The oracle path
+// (ForceFullRecompute) recomputes every affected group.
 func (e *Engine) splitAffected(d *deltaRows) groupSet {
 	type group struct {
 		key      string
@@ -192,7 +179,7 @@ func (e *Engine) splitAffected(d *deltaRows) groupSet {
 		w        int64
 	}
 	p, mv := d.plan, e.mv
-	all := e.ForceFullRecompute || e.strategy == StrategyFull
+	all := e.ForceFullRecompute
 	idx := make(map[string]int)
 	netIdx := make(map[string]int)
 	var groups []group

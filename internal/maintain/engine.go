@@ -51,10 +51,9 @@ type Stats struct {
 }
 
 // engineStats is the engine-internal counter set. The counters are atomic
-// so Stats() can be read while the parallel group-recompute pool or the
-// warehouse propagation scheduler is driving the engine; hot loops
-// accumulate locally and publish once per batch, so the atomics cost
-// nothing per row.
+// so Stats() can be read while the warehouse propagation scheduler is
+// driving the engine; hot loops accumulate locally and publish once per
+// batch, so the atomics cost nothing per row.
 type engineStats struct {
 	deltasApplied   atomic.Int64
 	detailRows      atomic.Int64
@@ -109,19 +108,6 @@ type Engine struct {
 	// join is also the fallback for shapes the scoped path cannot seed.
 	ForceFullRecompute bool
 
-	// Shards, when > 1, fans the per-group apply work — auxiliary-table
-	// adjustment, the delta-detail join, and the materialized-view
-	// adjustment loop — across that many shard workers partitioned by group
-	// key (see shard.go). Results are merged and installed serially in
-	// first-touch order, so a sharded apply is equivalent to the serial one.
-	// Engages only for deltas of at least ShardMinRows signed rows.
-	Shards int
-
-	// ShardMinRows is the row count below which a sharded engine stays
-	// serial; 0 selects defaultShardMinRows. Small deltas must not pay
-	// partitioning and goroutine overhead.
-	ShardMinRows int
-
 	// filtering marks non-root tables whose auxiliary view can exclude
 	// detail rows (local conditions, or a join edge without referential
 	// integrity, anywhere in the subtree); these must always participate
@@ -174,12 +160,6 @@ type Engine struct {
 	memo      *DeltaMemo
 	memoKey   string
 	memoScope string
-
-	// strategy is the per-apply maintenance strategy override, set for the
-	// duration of one StageWithPlan call (StrategyAuto between applies). It
-	// participates in the memo key: two engines may share memoized results
-	// only when they recompute along the same path.
-	strategy Strategy
 
 	// jnl is the per-apply undo log: every mutation of the auxiliary
 	// tables or the materialized view records the affected group's prior
@@ -417,44 +397,33 @@ type signedRow struct {
 // materialized view are bit-identical to their pre-delta state (the work
 // counters in Stats are diagnostic and are not rolled back).
 func (e *Engine) Apply(d Delta) error {
-	if err := e.ApplyStaged(d); err != nil {
+	if err := e.StageWithMemo(d, nil); err != nil {
 		return err
 	}
 	e.Commit()
 	return nil
 }
 
-// ApplyStaged applies the delta like Apply but retains the undo journal on
-// success so a coordinator (the warehouse, or a shared-plan driver) can
+// StageWithMemo applies the delta like Apply but retains the undo journal
+// on success so a coordinator (the warehouse, or SharedEngines) can
 // still Rollback this engine if a *later* engine in the same logical
 // transaction fails. On error the engine has already rolled itself back.
 // Exactly one staged apply may be outstanding; finish it with Commit or
-// Rollback before the next ApplyStaged.
-func (e *Engine) ApplyStaged(d Delta) error { return e.StageWithMemo(d, nil) }
-
-// StageWithMemo is ApplyStaged with cross-engine work sharing: when m is
-// non-nil, delta expansion, local filtering, the delta-detail join, and
-// group recomputation are computed once per distinct plan signature across
-// every engine staging the same delta through the same memo, and the shared
-// results are consumed read-only (see DeltaMemo for the soundness
-// argument). Each engine may be driven by at most one goroutine, but
-// different engines of one propagation may stage concurrently.
+// Rollback before the next one.
+//
+// When m is non-nil, delta expansion, local filtering, the delta-detail
+// join, and group recomputation are computed once per distinct plan
+// signature across every engine staging the same delta through the same
+// memo, and the shared results are consumed read-only (see DeltaMemo for
+// the soundness argument). Each engine may be driven by at most one
+// goroutine, but different engines of one propagation may stage
+// concurrently.
 //
 // With a Metrics sink attached (SetMetrics), each apply records its
 // end-to-end latency, journal depth, and a trace event carrying the
 // per-stage timings; deltas for unreferenced tables bypass even the clock
 // reads.
 func (e *Engine) StageWithMemo(d Delta, m *DeltaMemo) error {
-	return e.StageWithPlan(d, m, StrategyAuto)
-}
-
-// StageWithPlan is StageWithMemo under an explicit per-delta strategy (see
-// Strategy). The strategy holds for this one staged apply only; the
-// engine-level knobs (ForceFullRecompute, ShardMinRows) are untouched.
-// Coordinators of replica engines must pass the same strategy to each.
-func (e *Engine) StageWithPlan(d Delta, m *DeltaMemo, s Strategy) error {
-	e.strategy = NormalizeStrategy(s)
-	defer func() { e.strategy = StrategyAuto }()
 	if e.met == nil || !e.tableSet[d.Table] {
 		return e.stageWithMemo(d, m)
 	}
@@ -558,7 +527,7 @@ func (e *Engine) Commit() {
 }
 
 // Rollback undoes a successful staged apply, restoring the engine to its
-// state before the corresponding ApplyStaged call.
+// state before the corresponding StageWithMemo call.
 func (e *Engine) Rollback() {
 	if !e.jnl.recording {
 		e.jnl.rollback() // nothing staged; free no-op
@@ -797,9 +766,6 @@ func (e *Engine) auxPlanFor(at *AuxTable) *auxApplyPlan {
 // Scratch buffers (plainBuf, sumDeltaC, extremaC) are reused across rows;
 // Adjust copies what it retains.
 func (e *Engine) auxApply(at *AuxTable, rows []signedRow) error {
-	if e.shardable(len(rows)) {
-		return e.auxApplySharded(at, rows)
-	}
 	plan := e.auxPlanFor(at)
 	if cap(e.plainBuf) < len(plan.plainPos) {
 		e.plainBuf = make(tuple.Tuple, len(plan.plainPos))
@@ -892,8 +858,8 @@ func (e *Engine) vImpact(t string, d Delta, signed []signedRow) error {
 		// and raise the extrema.
 		return e.adjustFromDetail(dd, nil)
 	}
-	// Decide once, before the serial/sharded dispatch, which groups the
-	// delta's net effect forces to recompute; the rest adjust.
+	// Decide once, from the delta's net effect, which groups must
+	// recompute; the rest adjust.
 	recompute := e.splitAffected(dd)
 	if err := e.adjustFromDetail(dd, recompute); err != nil {
 		return err

@@ -231,6 +231,30 @@ func TestMaintainProductSalesScripted(t *testing.T) {
 	f.deleteRow("product", 103)
 }
 
+// TestStrategyEquivalence: both recompute strategies — delta-scoped by
+// default, the full auxiliary join under ForceFullRecompute — maintain the
+// view that brute-force recomputation yields, over a stream that exercises
+// the recompute path (COUNT DISTINCT), CSMAS adjustments, and a dimension
+// update.
+func TestStrategyEquivalence(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		name := "scoped"
+		if full {
+			name = "full"
+		}
+		t.Run(name, func(t *testing.T) {
+			f := newFixture(t, retailDDL, productSalesSQL, true)
+			f.engine.ForceFullRecompute = full
+			f.seedRetail()
+			f.initEngine()
+			f.insertSale(2, 102, 7, 3)
+			f.deleteRow("sale", 2)
+			f.updateRow("sale", 3, map[string]types.Value{"price": types.Float(42)})
+			f.updateRow("product", 100, map[string]types.Value{"brand": types.Str("zenc")})
+		})
+	}
+}
+
 func TestMaintainCSMASOnly(t *testing.T) {
 	f := newFixture(t, retailDDL, `
 		SELECT time.month, store.city, SUM(price) AS total, AVG(price) AS avgp, COUNT(*) AS cnt

@@ -65,28 +65,6 @@ func (j *journal) noteAux(at *AuxTable, key []byte) error {
 	return nil
 }
 
-// noteAuxKey is noteAux for a key already materialized as a string (no
-// copy).
-func (j *journal) noteAuxKey(at *AuxTable, key string) error {
-	if j == nil || !j.recording {
-		return nil
-	}
-	row, ok, err := at.store.GetString(key)
-	if err != nil {
-		return err
-	}
-	var old tuple.Tuple
-	if ok {
-		if at.store.InPlace() {
-			old = row.Clone()
-		} else {
-			old = row
-		}
-	}
-	j.ents = append(j.ents, undoEntry{aux: at, key: key, old: old})
-	return nil
-}
-
 // noteMV records the current image of the materialized-view group under the
 // encoded key (a scratch buffer; the journal copies it).
 func (j *journal) noteMV(mv *MaterializedView, key []byte) {

@@ -99,7 +99,7 @@ func (e *Engine) buildMemoKey() string {
 	b.WriteString(e.memoScope)
 	b.WriteByte('|')
 	b.WriteString(e.plan.Fingerprint())
-	fmt.Fprintf(&b, "|ns=%t|ffr=%t|skip=%t|strat=%s", e.UseNeedSets, e.ForceFullRecompute, e.skipAux, e.strategy)
+	fmt.Fprintf(&b, "|ns=%t|ffr=%t|skip=%t", e.UseNeedSets, e.ForceFullRecompute, e.skipAux)
 	if len(e.residual) > 0 {
 		tabs := make([]string, 0, len(e.residual))
 		for t := range e.residual {
@@ -220,10 +220,10 @@ func (e *Engine) deltaDetailShared(t string, signed []signedRow) (*deltaRows, er
 
 // recomputedGroups derives the replacement rows for the affected groups by
 // re-aggregating their detail (see reaggregate). The scoped-vs-full choice
-// in there is a pure function of the plan and the per-apply strategy, and
-// the strategy is part of the join key, so with a memo the pipeline runs
-// once per (join key, affected-group set) and replicas never mix results
-// from different paths. The second result tells the caller the rows are
+// in there is a pure function of the plan and ForceFullRecompute, which is
+// part of the join key, so with a memo the pipeline runs once per (join
+// key, affected-group set) and replicas never mix results from different
+// paths. The second result tells the caller the rows are
 // shared and must be cloned before installation (installed rows are mutated
 // in place by later adjustments and by rollback, and the memo's copy must
 // stay pristine for other consumers).

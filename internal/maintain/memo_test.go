@@ -234,6 +234,19 @@ func TestDeltaMemoDistinguishesPlans(t *testing.T) {
 	}
 }
 
+// TestStrategyInMemoKey: engines recomputing along different paths must not
+// share memoized results, so the recompute strategy — delta-scoped by
+// default, the full auxiliary join under ForceFullRecompute — is part of
+// the memo key.
+func TestStrategyInMemoKey(t *testing.T) {
+	f := newFixture(t, retailDDL, productSalesSQL, true)
+	scoped := f.engine.buildMemoKey()
+	f.engine.ForceFullRecompute = true
+	if full := f.engine.buildMemoKey(); full == scoped {
+		t.Fatalf("scoped and full recompute share the memo key %q", full)
+	}
+}
+
 // TestSharedEnginesParallelMatchesSerial: a shared class staging in
 // parallel with the memo must end byte-identical to a serial, memo-less
 // class driven by the same stream.

@@ -62,10 +62,6 @@ type Metrics struct {
 	avoided      *obs.Counter // maintain.recompute.avoided (groups adjusted instead)
 	reaggregated *obs.Counter // maintain.recompute.rows (detail rows re-aggregated)
 
-	shardedStages *obs.Counter   // maintain.shard.stages (sharded stage executions)
-	shardRows     *obs.Histogram // maintain.shard.rows (rows per sharded stage)
-	shardWorkers  *obs.Gauge     // maintain.shard.workers (fan-out of the last stage)
-
 	trace *obs.TraceRing // maintain.applies: one event per staged apply
 }
 
@@ -88,9 +84,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.memoWaits = reg.Counter("maintain.memo.waits")
 	m.avoided = reg.Counter("maintain.recompute.avoided")
 	m.reaggregated = reg.Counter("maintain.recompute.rows")
-	m.shardedStages = reg.Counter("maintain.shard.stages")
-	m.shardRows = reg.Histogram("maintain.shard.rows")
-	m.shardWorkers = reg.Gauge("maintain.shard.workers")
 	m.trace = reg.Trace("maintain.applies")
 	return m
 }

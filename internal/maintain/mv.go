@@ -185,10 +185,8 @@ func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int
 // without touching the view's row map: row is the current image (nil =
 // absent; a blank group is created) and the result is the image afterwards
 // (nil = group death, never produced for a global view or under keep).
-// Existing rows are mutated in place. The caller reconciles the map —
-// adjustBuf for the serial path, the sharded overlay pipeline for parallel
-// applies — so both accumulate each group's components in bit-identical
-// order.
+// Existing rows are mutated in place. The caller, adjustBuf, reconciles the
+// map.
 //
 // keep serves views with stored components: a group whose only fact is
 // updated passes through count zero between the old image and the new, and

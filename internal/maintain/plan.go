@@ -219,7 +219,7 @@ func (e *Engine) compileDetailPlan(start string, base bool) (*detailPlan, error)
 	}
 
 	// Fold edges in sorted child order, so the join (and column) order is
-	// deterministic across engines and chunk workers.
+	// deterministic across engines.
 	needed := e.tablesFor(start)
 	children := make([]string, 0, len(e.graph.EdgeTo))
 	for c := range e.graph.EdgeTo {

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mindetail/internal/core"
 	"mindetail/internal/faultinject"
@@ -23,7 +22,6 @@ type SharedEngines struct {
 	sp      *core.SharedPlan
 	tables  map[string]*AuxTable
 	engines []*Engine
-	scope   string
 
 	// Workers bounds the number of view engines staging one delta
 	// concurrently; 0 means GOMAXPROCS, 1 forces the serial path. Staging
@@ -34,16 +32,6 @@ type SharedEngines struct {
 	// DisableMemo turns off cross-engine work sharing through the per-delta
 	// DeltaMemo — the verification/baseline configuration.
 	DisableMemo bool
-
-	// Chooser, when set, picks the per-delta maintenance strategy for the
-	// WHOLE class: Apply consults it exactly once per delta and stages
-	// every engine under that one decision. Engines of a class are state
-	// replicas (equal fingerprints imply bit-identical auxiliary state and
-	// shared memo results), and scoped versus full recomputation can
-	// differ in float accumulation order — a per-engine decision could
-	// therefore split the replicas onto diverging paths. Never consult a
-	// chooser from inside an engine.
-	Chooser StrategyChooser
 
 	// jnl is the coordinator's undo log for the shared auxiliary tables;
 	// each view engine keeps its own log for its materialized groups, so
@@ -66,7 +54,6 @@ var classSeq atomic.Int64
 func NewSharedEngines(sp *core.SharedPlan) (*SharedEngines, error) {
 	se := &SharedEngines{sp: sp, tables: make(map[string]*AuxTable)}
 	scope := fmt.Sprintf("class%d", classSeq.Add(1))
-	se.scope = scope
 	for t, def := range sp.Aux {
 		if def.Omitted {
 			continue
@@ -176,22 +163,6 @@ func (se *SharedEngines) Apply(d Delta) error {
 	// engine fails, the already-applied engines and the shared tables are
 	// rolled back, so no delta is ever visible in some views but not
 	// others.
-	//
-	// The maintenance strategy is decided HERE, once for the whole class,
-	// and handed unchanged to every engine. Deciding per engine (the old
-	// shape of the code let each engine resolve its own fallback) would let
-	// replicas of one class recompute along different paths — and scoped
-	// versus full recomputation can differ in float accumulation order,
-	// silently breaking the bit-identical replica invariant the memo
-	// depends on.
-	strat := StrategyAuto
-	var shape DeltaShape
-	var start time.Time
-	if se.Chooser != nil {
-		shape = ShapeOf(d)
-		strat = NormalizeStrategy(se.Chooser.Choose(se.scope, shape, false))
-		start = time.Now()
-	}
 	se.jnl.begin()
 	at := se.tables[d.Table]
 	if at != nil {
@@ -212,7 +183,7 @@ func (se *SharedEngines) Apply(d Delta) error {
 	errs := make([]error, len(se.engines))
 	if workers := poolSize(se.Workers, len(se.engines)); workers <= 1 {
 		for i, eng := range se.engines {
-			if aerr := eng.StageWithPlan(d, memo, strat); aerr != nil {
+			if aerr := eng.StageWithMemo(d, memo); aerr != nil {
 				errs[i] = aerr
 				break
 			}
@@ -231,7 +202,7 @@ func (se *SharedEngines) Apply(d Delta) error {
 			go func(i int, eng *Engine) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				if aerr := eng.StageWithPlan(d, memo, strat); aerr != nil {
+				if aerr := eng.StageWithMemo(d, memo); aerr != nil {
 					errs[i] = aerr
 					return
 				}
@@ -255,9 +226,6 @@ func (se *SharedEngines) Apply(d Delta) error {
 			eng.Commit()
 		}
 		se.jnl.discard()
-		if se.Chooser != nil {
-			se.Chooser.Observe(se.scope, shape, strat, time.Since(start).Nanoseconds())
-		}
 		return nil
 	}
 	// Failing engines rolled themselves back inside StageWithMemo; undo the

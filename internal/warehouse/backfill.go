@@ -18,17 +18,7 @@ import (
 // after are appended to buf by propagate (which always runs under w.mu)
 // and replayed into the unpublished engine during catch-up.
 type backfillState struct {
-	buf []pendingDelta // committed deltas awaiting catch-up (guarded by w.mu)
-}
-
-// pendingDelta is one buffered catch-up entry: the committed delta plus
-// the maintenance strategy propagate applied it with. Replaying with the
-// same strategy keeps the backfilled engine's float-accumulation history
-// bit-identical to a same-epoch sibling's, which is what lets it share
-// the sibling's memo scope after install.
-type pendingDelta struct {
-	d     maintain.Delta
-	strat maintain.Strategy
+	buf []maintain.Delta // committed deltas awaiting catch-up (guarded by w.mu)
 }
 
 // SetBackfillHook installs (nil removes) a test hook fired — while NOT
@@ -111,14 +101,13 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 		return err
 	}
 	eng.UseNeedSets = w.UseNeedSets
-	eng.Shards = w.engineShards
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
 	// The engine initializes from the source state of the current epoch
-	// and catches up on every later delta with the strategy propagate
-	// used, so its history — and therefore its bits — match a view
-	// created synchronously at this epoch: it may share that epoch's
+	// and catches up on every later delta through the same staging path
+	// propagate uses, so its history — and therefore its bits — match a
+	// view created synchronously at this epoch: it may share that epoch's
 	// memoized per-delta work.
 	eng.SetMemoScope(fmt.Sprintf("epoch%d", w.epoch))
 	if w.auxFactory != nil {
@@ -185,11 +174,11 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 		if len(chunk) == 0 {
 			break
 		}
-		for _, pd := range chunk {
+		for _, d := range chunk {
 			if ferr := w.fi.Fire(faultinject.BackfillCatchUp); ferr != nil {
 				return abort(ferr)
 			}
-			if err := backfillApply(eng, pd); err != nil {
+			if err := eng.Apply(d); err != nil {
 				return abort(err)
 			}
 			w.met.backfillCatchUp.Inc()
@@ -201,8 +190,8 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 	// current state before the view becomes visible.
 	w.backfillStage(st.Name, "install")
 	w.mu.Lock()
-	for _, pd := range bf.buf {
-		if err := backfillApply(eng, pd); err != nil {
+	for _, d := range bf.buf {
+		if err := eng.Apply(d); err != nil {
 			return abortLocked(err)
 		}
 		w.met.backfillCatchUp.Inc()
@@ -232,24 +221,11 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 	return err
 }
 
-// backfillApply replays one committed delta into an unpublished backfill
-// engine through the same staging path — and with the same strategy —
-// propagate used, so the installed view is bit-identical to one that had
-// existed all along (and to what WAL recovery reproduces).
-func backfillApply(eng *maintain.Engine, pd pendingDelta) error {
-	if err := eng.StageWithPlan(pd.d, nil, pd.strat); err != nil {
-		return err
-	}
-	eng.Commit()
-	return nil
-}
-
-// feedBackfills appends a committed delta and its propagation strategy to
-// every pending backfill's catch-up buffer. Callers hold w.mu
-// (propagate's commit section).
-func (w *Warehouse) feedBackfills(d maintain.Delta, strat maintain.Strategy) {
+// feedBackfills appends a committed delta to every pending backfill's
+// catch-up buffer. Callers hold w.mu (propagate's commit section).
+func (w *Warehouse) feedBackfills(d maintain.Delta) {
 	for _, bf := range w.pending {
-		bf.buf = append(bf.buf, pendingDelta{d: d, strat: strat})
+		bf.buf = append(bf.buf, d)
 	}
 }
 

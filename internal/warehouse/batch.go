@@ -40,18 +40,6 @@ type BatchCommitter interface {
 	CommitBatch(lsns []uint64) error
 }
 
-// SetEngineShards reconfigures the shard fan-out of every existing view
-// engine and of engines created afterwards (see maintain.Engine.Shards;
-// n <= 1 restores serial applies). Safe to call between mutations.
-func (w *Warehouse) SetEngineShards(n int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.engineShards = n
-	for _, name := range w.order {
-		w.views[name].Engine.Shards = n
-	}
-}
-
 // coalescible reports whether a delta may join an insert-only coalescing
 // group.
 func coalescible(d maintain.Delta) bool {

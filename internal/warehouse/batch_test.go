@@ -182,36 +182,3 @@ func TestPipelineErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestSetEngineShards checks the shard fan-out reaches existing and
-// future view engines and that a sharded warehouse still verifies.
-func TestSetEngineShards(t *testing.T) {
-	w := newRetail(t)
-	w.SetEngineShards(4)
-	if got := w.View("product_sales").Engine.Shards; got != 4 {
-		t.Fatalf("existing engine shards = %d, want 4", got)
-	}
-	if _, err := w.Exec(`CREATE MATERIALIZED VIEW by_store AS
-		SELECT store.city, COUNT(*) AS cnt FROM sale, store
-		WHERE sale.storeid = store.id GROUP BY store.city`); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.View("by_store").Engine.Shards; got != 4 {
-		t.Fatalf("new engine shards = %d, want 4", got)
-	}
-	w.View("product_sales").Engine.ShardMinRows = 1
-	w.View("by_store").Engine.ShardMinRows = 1
-	for i, err := range w.ApplyDeltaBatch([]maintain.Delta{saleDelta(5000, 64), saleDelta(5064, 64)}) {
-		if err != nil {
-			t.Fatalf("sharded batch delta %d: %v", i, err)
-		}
-	}
-	// The sharded warehouse must match an unsharded one fed the same rows.
-	oracle := newRetail(t)
-	if err := oracle.ApplyDelta(saleDelta(5000, 128)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := viewTotals(t, w), viewTotals(t, oracle); got != want {
-		t.Fatalf("sharded batch diverged from unsharded oracle\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}

@@ -138,10 +138,6 @@ type Warehouse struct {
 	// DeltaMemo — the verification/baseline configuration.
 	DisableMemo bool
 
-	// engineShards is the shard fan-out applied to every view engine (see
-	// maintain.Engine.Shards); set through SetEngineShards, read under mu.
-	engineShards int
-
 	// DisableSnapshots makes Query bypass the copy-on-write snapshot cache
 	// and rebuild the result under the read lock on every call (the
 	// pre-snapshot behavior, kept as a baseline and for callers that want
@@ -153,12 +149,6 @@ type Warehouse struct {
 	// under mu (propagate runs under the write lock).
 	met          *wmetrics
 	obsTimingOff bool
-
-	// chooser, when set, picks the maintenance strategy for each propagated
-	// delta (see maintain.StrategyChooser). One decision per delta covers
-	// every view engine — replica engines must never be split across
-	// recomputation paths with different float accumulation orders.
-	chooser maintain.StrategyChooser
 
 	// opLog, when set, receives one OpEvent per answered query and per
 	// committed delta — the workload log the view-selection advisor mines.
@@ -187,14 +177,6 @@ func (w *Warehouse) SetOpLog(f func(OpEvent)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.opLog = f
-}
-
-// SetStrategyChooser installs (nil removes) a cost-based strategy chooser
-// consulted once per propagated delta.
-func (w *Warehouse) SetStrategyChooser(c maintain.StrategyChooser) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.chooser = c
 }
 
 // New creates an empty warehouse. Observability is on by default; see
@@ -535,7 +517,6 @@ func (w *Warehouse) applyCreateView(st *sqlparse.CreateView) error {
 		return err
 	}
 	eng.UseNeedSets = w.UseNeedSets
-	eng.Shards = w.engineShards
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
@@ -608,7 +589,6 @@ func (w *Warehouse) RestoreView(name, selectSQL string, appendOnly bool, st *mai
 		return err
 	}
 	eng.UseNeedSets = w.UseNeedSets
-	eng.Shards = w.engineShards
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
@@ -984,25 +964,12 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 	n := len(w.order)
 	if n == 0 {
 		w.epoch++
-		w.feedBackfills(d, maintain.StrategyAuto)
+		w.feedBackfills(d)
 		return nil
 	}
 	var start time.Time
-	if !w.obsTimingOff {
+	if !w.obsTimingOff || w.opLog != nil {
 		start = time.Now()
-	}
-	// One strategy decision covers every view engine of this propagation:
-	// consulting the chooser per engine would split replica engines across
-	// recomputation paths whose float accumulation orders differ.
-	strat := maintain.StrategyAuto
-	var shape maintain.DeltaShape
-	var opStart time.Time
-	if w.chooser != nil || w.opLog != nil {
-		shape = maintain.ShapeOf(d)
-		opStart = time.Now()
-	}
-	if w.chooser != nil {
-		strat = maintain.NormalizeStrategy(w.chooser.Choose("warehouse", shape, false))
 	}
 	var memo *maintain.DeltaMemo
 	if !w.DisableMemo {
@@ -1016,7 +983,7 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 				errs[i] = ferr
 				break
 			}
-			if aerr := w.views[name].Engine.StageWithPlan(d, memo, strat); aerr != nil {
+			if aerr := w.views[name].Engine.StageWithMemo(d, memo); aerr != nil {
 				errs[i] = aerr
 				break
 			}
@@ -1040,7 +1007,7 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 			go func(i int, eng *maintain.Engine) {
 				defer wg.Done()
 				defer func() { <-sem; w.met.poolOcc.Add(-1) }()
-				if aerr := eng.StageWithPlan(d, memo, strat); aerr != nil {
+				if aerr := eng.StageWithMemo(d, memo); aerr != nil {
 					errs[i] = aerr
 					return
 				}
@@ -1082,21 +1049,17 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 			}
 		}
 		w.epoch++
-		w.feedBackfills(d, strat)
+		w.feedBackfills(d)
 		w.met.viewsCommitted.Add(int64(n))
 		w.met.snapInvalidated.Add(invalidated)
 		w.met.propagates.Inc()
 		if !w.obsTimingOff {
 			w.met.propagateNs.ObserveSince(start)
 		}
-		if w.chooser != nil || w.opLog != nil {
-			ns := time.Since(opStart).Nanoseconds()
-			if w.chooser != nil {
-				w.chooser.Observe("warehouse", shape, strat, ns)
-			}
-			if w.opLog != nil {
-				w.opLog(OpEvent{Kind: "delta", Table: d.Table, Rows: shape.Rows, Ns: ns})
-			}
+		if w.opLog != nil {
+			w.opLog(OpEvent{Kind: "delta", Table: d.Table,
+				Rows: len(d.Inserts) + len(d.Deletes) + 2*len(d.Updates),
+				Ns:   time.Since(start).Nanoseconds()})
 		}
 		return nil
 	}

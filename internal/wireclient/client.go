@@ -35,14 +35,11 @@ type Client struct {
 	closed bool
 }
 
-// Options tunes Dial.
+// Options tunes Dial. Response frames are bounded by wire.DefaultMaxFrame.
 type Options struct {
 	// DialTimeout bounds connect + handshake (<=0 selects
 	// DefaultDialTimeout).
 	DialTimeout time.Duration
-	// MaxFrame bounds a single response frame (<=0 selects
-	// wire.DefaultMaxFrame).
-	MaxFrame int
 }
 
 // Dial connects to a dwserver at addr and authenticates with the shared

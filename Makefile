@@ -28,13 +28,18 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrent layers: the maintenance engine (delta memo,
-# parallel shared-class staging), the warehouse (parallel propagation,
-# lock-free reads, online backfill, the group-commit batch pipeline), the
-# write-ahead log (group committer), the lock-free observability
-# primitives, the wire server (concurrent sessions, admission control,
-# disconnect drain), and the pager (buffer-pool pin/unpin and eviction
-# under shared stores).
+# Race-check the concurrent layers: the maintenance engine (the staging
+# coordinator, shared-class staging over one set of tables), the warehouse
+# (propagation, lock-free reads, online backfill, the group-commit batch
+# pipeline), the write-ahead log (group committer), the lock-free
+# observability primitives, the wire server (concurrent sessions, admission
+# control, disconnect drain), and the pager (buffer-pool pin/unpin and
+# eviction under shared stores).
+#
+# The staging pool is GOMAXPROCS wide, so the coordinator's two sides —
+# inline serial staging and fanned-out staging — depend on the runner's
+# cores. RACE_CPU packages therefore run twice, at -cpu 1 and -cpu 4, so
+# both sides run under the detector on any runner.
 #
 # The package set is derived from `go list` so a NEW package is race-
 # checked by default; RACE_SKIP only excludes the serial drivers whose
@@ -42,8 +47,10 @@ test:
 # and internal/faultinject, whose sweeps run under -race in their own
 # target below.
 RACE_SKIP := examples/|cmd/benchharness|cmd/dwsim|cmd/dwshell|internal/experiments|internal/faultinject
+RACE_CPU := ./internal/maintain ./internal/warehouse
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -Ev '$(RACE_SKIP)')
+	$(GO) test -race $$($(GO) list ./... | grep -Ev '$(RACE_SKIP)|/internal/(maintain|warehouse)$$')
+	$(GO) test -race -cpu 1,4 $(RACE_CPU)
 
 race-all:
 	$(GO) test -race ./...

@@ -20,12 +20,9 @@ var fanoutParams = workload.RetailParams{
 	TransactionsPerProduct: 1, Brands: 50, SelectYear: 1997, Seed: 1,
 }
 
-// fanoutWarehouse builds a warehouse carrying n copies of the paper view.
-// The copies share one plan fingerprint and one memo scope, so memoized
-// propagation computes the per-delta work once and installs it n times;
-// serial=true pins the warehouse to the pre-scheduler behavior (one staging
-// worker, no memo, no snapshot cache) as the measured baseline.
-func fanoutWarehouse(n int, serial bool) (*warehouse.Warehouse, [2]tuple.Tuple, error) {
+// fanoutWarehouse builds a warehouse carrying n copies of the paper view;
+// every delta stages on all n engines, across the propagation pool.
+func fanoutWarehouse(n int) (*warehouse.Warehouse, [2]tuple.Tuple, error) {
 	w := warehouse.New()
 	if _, err := w.Exec(workload.DDL()); err != nil {
 		return nil, [2]tuple.Tuple{}, err
@@ -38,11 +35,6 @@ func fanoutWarehouse(n int, serial bool) (*warehouse.Warehouse, [2]tuple.Tuple, 
 		if _, err := w.Exec(sql); err != nil {
 			return nil, [2]tuple.Tuple{}, err
 		}
-	}
-	if serial {
-		w.PropagateWorkers = 1
-		w.DisableMemo = true
-		w.DisableSnapshots = true
 	}
 	old := w.Source().Table("sale").Get(types.Int(1))
 	if old == nil {
@@ -60,8 +52,8 @@ func fanoutWarehouse(n int, serial bool) (*warehouse.Warehouse, [2]tuple.Tuple, 
 // time-based instrumentation (stage histograms, propagate clock) to measure
 // the observability overhead; the warehouse is returned so callers can
 // snapshot its metric registry after an instrumented run.
-func benchFanout(n int, serial, obsOn bool) (testing.BenchmarkResult, *warehouse.Warehouse, error) {
-	w, imgs, err := fanoutWarehouse(n, serial)
+func benchFanout(n int, obsOn bool) (testing.BenchmarkResult, *warehouse.Warehouse, error) {
+	w, imgs, err := fanoutWarehouse(n)
 	if err != nil {
 		return testing.BenchmarkResult{}, nil, err
 	}
@@ -88,7 +80,7 @@ func benchFanout(n int, serial, obsOn bool) (testing.BenchmarkResult, *warehouse
 // the snapshot cache, so every read re-materializes the view under the
 // read lock and queues behind in-flight propagations.
 func benchQueryUnderWriteLoad(locked bool) (testing.BenchmarkResult, error) {
-	w, imgs, err := fanoutWarehouse(8, false)
+	w, imgs, err := fanoutWarehouse(8)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
@@ -131,33 +123,27 @@ func benchQueryUnderWriteLoad(locked bool) (testing.BenchmarkResult, error) {
 }
 
 // runFanoutBenches measures the fan-out propagation and concurrent-read
-// scenarios, returning results in report order (memoized/parallel first,
-// then its serial baseline). The 32-view scenario additionally runs with
-// instrumentation disabled ("/no-obs") to expose the observability
-// overhead, and its instrumented run's stage histograms are recorded into
-// stageHists for the report.
+// scenarios, returning results in report order. The 32-view scenario
+// additionally runs with instrumentation disabled ("/no-obs") to expose the
+// observability overhead, and its instrumented run's stage histograms are
+// recorded into stageHists for the report.
 func runFanoutBenches(stageHists map[string]map[string]obs.HistogramSnapshot) ([]benchResult, error) {
 	var out []benchResult
 	for _, n := range []int{8, 32} {
 		name := fmt.Sprintf("PropagateFanout%dViews", n)
-		par, w, err := benchFanout(n, false, true)
+		r, w, err := benchFanout(n, true)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, toResult(name, par))
+		out = append(out, toResult(name, r))
 		if n == 32 {
 			stageHists[name] = histSnapshots(w.ObsRegistry())
-			noObs, _, err := benchFanout(n, false, false)
+			noObs, _, err := benchFanout(n, false)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, toResult(name+"/no-obs", noObs))
 		}
-		ser, _, err := benchFanout(n, true, true)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, toResult(name+"/serial", ser))
 	}
 	snap, err := benchQueryUnderWriteLoad(false)
 	if err != nil {

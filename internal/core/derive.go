@@ -207,13 +207,6 @@ type Plan struct {
 	// relaxation: base tables only ever receive insertions. Maintenance
 	// rejects deletions and updates for such plans.
 	AppendOnly bool
-
-	// fingerprint and tableSigs are the plan's maintenance-work signatures,
-	// computed eagerly at derive time (see signature.go). They let a
-	// warehouse-level scheduler share per-delta work across engines whose
-	// plans agree, without re-deriving anything on the hot path.
-	fingerprint string
-	tableSigs   map[string]TableSig
 }
 
 // Derive runs Algorithm 3.2 on a validated GPSJ view.
@@ -257,7 +250,6 @@ func derive(v *gpsj.View, appendOnly bool) (*Plan, error) {
 	for _, t := range order {
 		p.Aux[t] = deriveAux(v, g, t, blocking, appendOnly)
 	}
-	p.computeSignatures()
 	return p, nil
 }
 

@@ -330,10 +330,6 @@ func (sp *SharedPlan) PlanFor(i int) *Plan {
 			p.Aux[t] = shared
 		}
 	}
-	// The per-view plan needs its own maintenance-work signatures: the memo
-	// keys of a shared class must distinguish the class's views by their
-	// definitions, exactly like standalone derived plans.
-	p.computeSignatures()
 	return p
 }
 

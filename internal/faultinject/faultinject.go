@@ -25,7 +25,7 @@ import (
 type Point int32
 
 const (
-	// EngineValidated fires in Engine.StageWithMemo after the validate-first
+	// EngineValidated fires in Engine.Stage after the validate-first
 	// pass, before the first mutation.
 	EngineValidated Point = iota
 	// AuxAdjustStart fires in AuxTable.Adjust after the group key is
@@ -35,7 +35,7 @@ const (
 	// created/adjusted but before the group count is updated — in the
 	// middle of a logically atomic operation.
 	AuxAdjustMid
-	// EngineAuxApplied fires in Engine.StageWithMemo after the auxiliary
+	// EngineAuxApplied fires in Engine.Stage after the auxiliary
 	// table was maintained, before the materialized view is touched (the
 	// historical partial-apply gap between X and V).
 	EngineAuxApplied

@@ -11,9 +11,10 @@ import (
 
 // deltaRows is the outcome of the delta-detail join: the weighted detail
 // rows a delta contributes to the view, materialized (each row is the
-// concatenation of the plan's slots) because a DeltaMemo shares them across
-// replica engines. A row's weight is the signed number of underlying base
-// detail rows it stands for. Consumers treat all fields as read-only.
+// concatenation of the plan's slots) because splitAffected and
+// adjustFromDetail both read them. A row's weight is the signed number of
+// underlying base detail rows it stands for. Consumers treat all fields as
+// read-only.
 type deltaRows struct {
 	plan    *detailPlan
 	rows    []tuple.Tuple
@@ -44,6 +45,7 @@ type groupSet map[string][]types.Value
 // rows: the root COUNT(*) multiplies in when climbing through a compressed
 // root view.
 func (e *Engine) deltaDetail(t string, signed []signedRow) (*deltaRows, error) {
+	defer e.stageEnd(StageDeltaJoin, e.stageStart())
 	p, err := e.detailPlanFor(t, true)
 	if err != nil {
 		return nil, fmt.Errorf("maintain: delta on %s: %w", t, err)
@@ -162,9 +164,9 @@ func (e *Engine) adjustFromDetail(d *deltaRows, skip groupSet) error {
 //     (a tie still does — the stored row does not know the tie count).
 //
 // It returns the groups to recompute; every other group adjusts. The
-// decision is a pure function of the (memo-shared) rows and the engine's
-// own stored rows, so replica engines decide identically. The oracle path
-// (ForceFullRecompute) recomputes every affected group.
+// decision is a pure function of the delta rows and the engine's own
+// stored rows. The oracle path (ForceFullRecompute) recomputes every
+// affected group.
 func (e *Engine) splitAffected(d *deltaRows) groupSet {
 	type group struct {
 		key      string
@@ -253,7 +255,9 @@ func (e *Engine) recomputeGroups(keys groupSet) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	groups, shared, err := e.recomputedGroups(keys)
+	st := e.stageStart()
+	groups, err := e.reaggregate(keys)
+	e.stageEnd(StageRecompute, st)
 	if err != nil {
 		return err
 	}
@@ -268,14 +272,7 @@ func (e *Engine) recomputeGroups(keys groupSet) error {
 		return err
 	}
 	for _, g := range groups {
-		row := g.row
-		if shared {
-			// Memoized rows are consumed by several engines and mutated in
-			// place once installed (adjustments, rollback restore); install a
-			// private copy and leave the memo's pristine.
-			row = row.Clone()
-		}
-		e.mv.rows[g.key] = row
+		e.mv.rows[g.key] = g.row
 	}
 	e.stats.groupRecomputes.Add(int64(len(groups)))
 	if e.mv.global() && len(groups) == 0 {

@@ -31,9 +31,6 @@ type Update struct {
 }
 
 // Stats counts the work the engine performs, for the benchmark harness.
-// When maintenance work is shared through a DeltaMemo, probe and detail
-// counters attribute the shared computation to the engine that performed
-// it; consumers of a memoized result count only their residual work.
 type Stats struct {
 	DeltasApplied   int
 	DetailRows      int // delta detail rows produced by joining
@@ -153,14 +150,6 @@ type Engine struct {
 	seedLk    probeScratch
 	agg       aggregator
 
-	// memo and memoKey are set for the duration of one StageWithMemo call;
-	// memoScope names the propagation domain whose same-fingerprint engines
-	// are state replicas ("solo" for a warehouse's standalone engines, a
-	// per-class tag for shared classes).
-	memo      *DeltaMemo
-	memoKey   string
-	memoScope string
-
 	// jnl is the per-apply undo log: every mutation of the auxiliary
 	// tables or the materialized view records the affected group's prior
 	// image, and any error during apply rolls the log back so the engine
@@ -175,8 +164,8 @@ type Engine struct {
 	// met is the observability sink (nil = instrumentation off, not even
 	// clock reads); stageNs accumulates per-stage nanoseconds across one
 	// apply for the trace event. The engine is driven by one goroutine, so
-	// the accumulator needs no synchronization even when staging runs under
-	// the warehouse's parallel propagation pool.
+	// the accumulator needs no synchronization even when staging runs on the
+	// coordinator's pool (see Propagate).
 	met     *Metrics
 	stageNs [numStages]int64
 }
@@ -231,7 +220,6 @@ func newEngine(plan *core.Plan, tables map[string]*AuxTable, residual map[string
 		auxPlanC:    make(map[string]*auxApplyPlan),
 		sumDeltaC:   make(map[string]types.Value),
 		extremaC:    make(map[string]types.Value),
-		memoScope:   "solo",
 	}
 	for _, t := range plan.View.Tables {
 		e.tableSet[t] = true
@@ -301,15 +289,6 @@ func (e *Engine) ResetStats() { e.stats.reset() }
 // the warehouse scheduler uses it to invalidate only the snapshots of views
 // a delta can actually change.
 func (e *Engine) References(table string) bool { return e.tableSet[table] }
-
-// SetMemoScope names the engine's propagation domain for cross-engine work
-// sharing: two engines consume each other's memoized results only when their
-// scopes AND plan fingerprints match. The scope must guarantee the replica
-// invariant — equal-fingerprint engines in one scope hold bit-identical
-// auxiliary state (the warehouse tags engines with their creation epoch, so
-// views initialized from different source states never share). Must not be
-// changed while a staged apply is outstanding.
-func (e *Engine) SetMemoScope(scope string) { e.memoScope = scope }
 
 // Snapshot returns the user-facing contents of the maintained view.
 func (e *Engine) Snapshot() *ra.Relation { return e.mv.Snapshot() }
@@ -397,47 +376,40 @@ type signedRow struct {
 // materialized view are bit-identical to their pre-delta state (the work
 // counters in Stats are diagnostic and are not rolled back).
 func (e *Engine) Apply(d Delta) error {
-	if err := e.StageWithMemo(d, nil); err != nil {
+	if err := e.Stage(d); err != nil {
 		return err
 	}
 	e.Commit()
 	return nil
 }
 
-// StageWithMemo applies the delta like Apply but retains the undo journal
-// on success so a coordinator (the warehouse, or SharedEngines) can
-// still Rollback this engine if a *later* engine in the same logical
-// transaction fails. On error the engine has already rolled itself back.
-// Exactly one staged apply may be outstanding; finish it with Commit or
-// Rollback before the next one.
-//
-// When m is non-nil, delta expansion, local filtering, the delta-detail
-// join, and group recomputation are computed once per distinct plan
-// signature across every engine staging the same delta through the same
-// memo, and the shared results are consumed read-only (see DeltaMemo for
-// the soundness argument). Each engine may be driven by at most one
-// goroutine, but different engines of one propagation may stage
-// concurrently.
+// Stage applies the delta like Apply but retains the undo journal on
+// success so a coordinator (Propagate) can still Rollback this engine if
+// another engine in the same logical transaction fails. On error the
+// engine has already rolled itself back. Exactly one staged apply may be
+// outstanding; finish it with Commit or Rollback before the next one. Each
+// engine may be driven by at most one goroutine, but different engines of
+// one propagation may stage concurrently.
 //
 // With a Metrics sink attached (SetMetrics), each apply records its
 // end-to-end latency, journal depth, and a trace event carrying the
 // per-stage timings; deltas for unreferenced tables bypass even the clock
 // reads.
-func (e *Engine) StageWithMemo(d Delta, m *DeltaMemo) error {
+func (e *Engine) Stage(d Delta) error {
 	if e.met == nil || !e.tableSet[d.Table] {
-		return e.stageWithMemo(d, m)
+		return e.stage(d)
 	}
 	start := time.Now()
 	for i := range e.stageNs {
 		e.stageNs[i] = 0
 	}
-	err := e.stageWithMemo(d, m)
+	err := e.stage(d)
 	e.recordApply(d, time.Since(start).Nanoseconds(), err)
 	return err
 }
 
-// stageWithMemo is the staging body behind StageWithMemo.
-func (e *Engine) stageWithMemo(d Delta, m *DeltaMemo) error {
+// stage is the staging body behind Stage.
+func (e *Engine) stage(d Delta) error {
 	t := d.Table
 	if !e.tableSet[t] {
 		return nil // table not referenced by the view
@@ -457,18 +429,15 @@ func (e *Engine) stageWithMemo(d Delta, m *DeltaMemo) error {
 			return fmt.Errorf("maintain: auxiliary store for %s is wedged: %w", bt, serr)
 		}
 	}
-	e.memo = m
-	if m != nil {
-		if e.plan.Fingerprint() == "" {
-			// A plan without signatures cannot be told apart from other
-			// unsignatured plans; never share work for it.
-			e.memo = nil
-		} else {
-			e.memoKey = e.buildMemoKey()
-		}
+	st := e.stageStart()
+	signed, err := e.expand(d) // validates row arity
+	e.stageEnd(StageExpand, st)
+	if err != nil {
+		return err
 	}
-	defer func() { e.memo, e.memoKey = nil, "" }()
-	signed, err := e.expandFiltered(d) // validates row arity, surfaces predicate bind errors
+	st = e.stageStart()
+	signed, err = e.localFilter(t, signed) // surfaces predicate bind errors
+	e.stageEnd(StageFilter, st)
 	if err != nil {
 		return err
 	}
@@ -527,7 +496,7 @@ func (e *Engine) Commit() {
 }
 
 // Rollback undoes a successful staged apply, restoring the engine to its
-// state before the corresponding StageWithMemo call.
+// state before the corresponding Stage call.
 func (e *Engine) Rollback() {
 	if !e.jnl.recording {
 		e.jnl.rollback() // nothing staged; free no-op
@@ -834,7 +803,7 @@ func (e *Engine) vImpact(t string, d Delta, signed []signedRow) error {
 		return e.rekey(t, d.Updates)
 	}
 
-	dd, err := e.deltaDetailShared(t, signed)
+	dd, err := e.deltaDetail(t, signed)
 	if err != nil {
 		return err
 	}

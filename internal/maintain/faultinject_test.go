@@ -272,13 +272,14 @@ func TestFaultInjectionSharedEngines(t *testing.T) {
 }
 
 // TestFaultInjectionSharedEnginesParallel re-runs the class-wide sweep with
-// parallel staging and the per-delta memo enabled: an injected failure in
-// any staging goroutine must still roll the shared tables and every sibling
+// staging fanned out on a four-wide pool: an injected failure in any
+// staging goroutine must still roll the shared tables and every sibling
 // view back to a bit-identical pre-delta state. Which engine the N-th visit
 // lands in depends on scheduling, but the atomicity invariant is
 // schedule-independent — and the sweep still terminates because the total
 // number of injection-point visits per apply is bounded.
 func TestFaultInjectionSharedEnginesParallel(t *testing.T) {
+	setProcs(t, 4)
 	f := newSharedFixture(t,
 		`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt
 		 FROM sale, time WHERE time.year = 1997 AND sale.timeid = time.id
@@ -290,7 +291,6 @@ func TestFaultInjectionSharedEnginesParallel(t *testing.T) {
 		 WHERE sale.productid = product.id AND sale.storeid = store.id
 		 GROUP BY store.city`,
 	)
-	f.se.Workers = 4
 	f.seedRetail()
 	f.init()
 

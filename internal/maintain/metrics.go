@@ -11,9 +11,7 @@ import (
 
 // Stage indices for per-apply stage timing. Every stage the maintenance
 // engine executes on behalf of one delta is attributed to exactly one of
-// these; when work is shared through a DeltaMemo, the stage is timed inside
-// the memo's compute closure and therefore attributed to the engine that
-// actually performed it (mirroring how Stats attributes shared counters).
+// these.
 const (
 	StageExpand    = iota // delta expansion + no-op update elimination
 	StageFilter           // local-condition filtering of expanded rows
@@ -38,8 +36,8 @@ const NumStages = numStages
 
 // Metrics is the maintenance engine's observability sink: per-stage latency
 // histograms, apply counters and end-to-end latency, undo-journal depth,
-// rollback accounting (total and fault-injected), DeltaMemo hit/miss/wait
-// counters, and a ring of recent apply traces.
+// rollback accounting (total and fault-injected), recomputation counters,
+// and a ring of recent apply traces.
 //
 // A nil *Metrics disables instrumentation entirely — the engine skips even
 // the clock reads, so the un-instrumented hot path is identical to the
@@ -54,10 +52,6 @@ type Metrics struct {
 	applies           *obs.Counter // maintain.applies
 	rollbacks         *obs.Counter // maintain.rollbacks
 	injectedRollbacks *obs.Counter // maintain.rollbacks_injected
-
-	memoHits   *obs.Counter // maintain.memo.hits
-	memoMisses *obs.Counter // maintain.memo.misses
-	memoWaits  *obs.Counter // maintain.memo.waits
 
 	avoided      *obs.Counter // maintain.recompute.avoided (groups adjusted instead)
 	reaggregated *obs.Counter // maintain.recompute.rows (detail rows re-aggregated)
@@ -79,9 +73,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	m.applies = reg.Counter("maintain.applies")
 	m.rollbacks = reg.Counter("maintain.rollbacks")
 	m.injectedRollbacks = reg.Counter("maintain.rollbacks_injected")
-	m.memoHits = reg.Counter("maintain.memo.hits")
-	m.memoMisses = reg.Counter("maintain.memo.misses")
-	m.memoWaits = reg.Counter("maintain.memo.waits")
 	m.avoided = reg.Counter("maintain.recompute.avoided")
 	m.reaggregated = reg.Counter("maintain.recompute.rows")
 	m.trace = reg.Trace("maintain.applies")
@@ -94,18 +85,6 @@ func (m *Metrics) Registry() *obs.Registry {
 		return nil
 	}
 	return m.reg
-}
-
-// AddMemoStats folds one propagation's DeltaMemo counters into the sink
-// (nil-safe). The warehouse scheduler and the shared-class coordinator call
-// this once per propagate, after every engine has staged.
-func (m *Metrics) AddMemoStats(hits, misses, waits int64) {
-	if m == nil {
-		return
-	}
-	m.memoHits.Add(hits)
-	m.memoMisses.Add(misses)
-	m.memoWaits.Add(waits)
 }
 
 // SetMetrics attaches (nil detaches) an observability sink to the engine.

@@ -80,7 +80,7 @@ type cell struct{ slot, pos int }
 // argBind is where one maintenance-form component reads its input: the
 // group-by attribute, the SUM argument, or the stored aggregate's argument.
 // flat is the same column in a concatenated row (the delta path, whose few
-// rows are memo-shared, materializes; recomputation reads cells in place).
+// rows are read twice, materializes; recomputation reads cells in place).
 type argBind struct {
 	cell
 	flat int

@@ -2,13 +2,11 @@ package maintain
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mindetail/internal/core"
 	"mindetail/internal/faultinject"
 	"mindetail/internal/ra"
+	"mindetail/internal/schema"
 	"mindetail/internal/types"
 )
 
@@ -23,37 +21,17 @@ type SharedEngines struct {
 	tables  map[string]*AuxTable
 	engines []*Engine
 
-	// Workers bounds the number of view engines staging one delta
-	// concurrently; 0 means GOMAXPROCS, 1 forces the serial path. Staging
-	// is read-only on the shared tables (the coordinator maintains them
-	// first, serially), so engines of the class can stage in parallel.
-	Workers int
-
-	// DisableMemo turns off cross-engine work sharing through the per-delta
-	// DeltaMemo — the verification/baseline configuration.
-	DisableMemo bool
-
 	// jnl is the coordinator's undo log for the shared auxiliary tables;
 	// each view engine keeps its own log for its materialized groups, so
 	// a failed Apply rolls back the tables and every already-applied view.
 	jnl journal
-
-	// met is the class's observability sink (nil = off): every view engine
-	// reports into it, and Apply folds each delta's memo counters in.
-	met *Metrics
 }
-
-// classSeq tags each shared class with a process-unique memo scope: engines
-// of different classes must never share memoized results (their auxiliary
-// tables are class-specific), even when their view fingerprints collide.
-var classSeq atomic.Int64
 
 // NewSharedEngines builds the coordinator. Call Init before Apply. A bad
 // shared plan (inconsistent auxiliary definitions, unindexable attributes)
 // surfaces as a returned error, not a process crash.
 func NewSharedEngines(sp *core.SharedPlan) (*SharedEngines, error) {
 	se := &SharedEngines{sp: sp, tables: make(map[string]*AuxTable)}
-	scope := fmt.Sprintf("class%d", classSeq.Add(1))
 	for t, def := range sp.Aux {
 		if def.Omitted {
 			continue
@@ -80,7 +58,6 @@ func NewSharedEngines(sp *core.SharedPlan) (*SharedEngines, error) {
 		if err != nil {
 			return nil, fmt.Errorf("maintain: shared view %s: %w", sp.Views[i].Name, err)
 		}
-		eng.memoScope = scope
 		// Pre-build every index the lazy recomputation paths would create
 		// mid-apply: parallel staging must never mutate the shared tables.
 		if err := eng.prepareSharedIndexes(); err != nil {
@@ -95,11 +72,9 @@ func NewSharedEngines(sp *core.SharedPlan) (*SharedEngines, error) {
 func (se *SharedEngines) Engine(i int) *Engine { return se.engines[i] }
 
 // SetMetrics attaches (nil detaches) an observability sink to the class:
-// every view engine reports stage timings and apply traces into it, and
-// Apply folds each delta's DeltaMemo counters in. Not safe concurrently
-// with Apply.
+// every view engine reports stage timings and apply traces into it. Not
+// safe concurrently with Apply.
 func (se *SharedEngines) SetMetrics(m *Metrics) {
-	se.met = m
 	for _, eng := range se.engines {
 		eng.SetMetrics(m)
 	}
@@ -143,117 +118,38 @@ func (se *SharedEngines) Snapshot(i int) (*ra.Relation, error) {
 	return se.sp.Views[i].ApplyHaving(se.engines[i].Snapshot())
 }
 
-// Apply propagates one base-table delta: the shared tables are maintained
-// once, then every view's groups. Every view sees the delta against the
-// same pre-delta auxiliary state, so the shared tables are updated only
-// after all views have computed their impact when the delta's table is a
-// non-root (dimension) table, and before when it is a root — matching the
-// single-engine ordering (a view's own delta rows are used directly; only
-// OTHER tables' auxiliary contents matter during the impact join).
+// Apply propagates one base-table delta: the shared table of d.Table is
+// maintained first, once, then every view's engine stages its groups
+// through Propagate. This is the single-engine order (Engine.Apply also
+// maintains the delta's own auxiliary view before the impact join): an
+// engine joins its delta rows only against OTHER tables' auxiliary views,
+// and a view that joins d.Table needs its post-delta membership, which the
+// shared auxApply establishes under the SHARED local conditions.
+//
+// Apply is failure-atomic across the whole class: when any view's engine
+// fails, the staged engines and the shared tables are rolled back, so no
+// delta is ever visible in some views but not others. A delta on a table
+// the class's catalog does not define is rejected before anything changes.
 func (se *SharedEngines) Apply(d Delta) error {
-	// Determine, per view, whether the delta's table is that view's root;
-	// engines never read their own delta table's auxiliary view during
-	// vImpact, so a single global ordering works: update the shared table
-	// for d.Table first (it is only read by engines for which d.Table is a
-	// JOINED table — and for those the paper's semantics require the
-	// post-local-condition membership state, which auxApply establishes
-	// exactly as the single-engine path does).
-	//
-	// Apply is failure-atomic across the whole class: when any view's
-	// engine fails, the already-applied engines and the shared tables are
-	// rolled back, so no delta is ever visible in some views but not
-	// others.
+	meta := se.sp.Views[0].Catalog().Table(d.Table)
+	if meta == nil {
+		return fmt.Errorf("maintain: unknown table %s", d.Table)
+	}
 	se.jnl.begin()
-	at := se.tables[d.Table]
-	if at != nil {
-		// Reuse the first engine referencing the table for the shared
-		// auxApply: the shared definition's local conditions and semijoins
-		// live on the AuxTable's own definition, so any engine's expand is
-		// NOT suitable — the shared table must apply the SHARED conditions.
-		if err := se.auxApply(at, d); err != nil {
+	if at := se.tables[d.Table]; at != nil {
+		if err := se.auxApply(at, meta, d); err != nil {
 			se.jnl.rollback()
 			return err
 		}
 	}
-	var memo *DeltaMemo
-	if !se.DisableMemo {
-		memo = NewDeltaMemo()
+	// The shared tables are quiescent from here on: engines stage against
+	// them read-only, through their private probe scratch.
+	if _, err := Propagate(se.engines, d, nil, nil); err != nil {
+		se.jnl.rollback()
+		return fmt.Errorf("maintain: shared %w", err)
 	}
-	staged := make([]bool, len(se.engines))
-	errs := make([]error, len(se.engines))
-	if workers := poolSize(se.Workers, len(se.engines)); workers <= 1 {
-		for i, eng := range se.engines {
-			if aerr := eng.StageWithMemo(d, memo); aerr != nil {
-				errs[i] = aerr
-				break
-			}
-			staged[i] = true
-		}
-	} else {
-		// Every engine stages concurrently: the shared tables are quiescent
-		// (auxApply above already ran), engines read them only through their
-		// private probe scratch, and each engine journals only its own
-		// materialized groups.
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, eng := range se.engines {
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(i int, eng *Engine) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if aerr := eng.StageWithMemo(d, memo); aerr != nil {
-					errs[i] = aerr
-					return
-				}
-				staged[i] = true
-			}(i, eng)
-		}
-		wg.Wait()
-	}
-	if memo != nil && se.met != nil {
-		se.met.AddMemoStats(memo.Stats())
-	}
-	var err error
-	for i, aerr := range errs {
-		if aerr != nil {
-			err = fmt.Errorf("maintain: shared view %s: %w", se.sp.Views[i].Name, aerr)
-			break
-		}
-	}
-	if err == nil {
-		for _, eng := range se.engines {
-			eng.Commit()
-		}
-		se.jnl.discard()
-		return nil
-	}
-	// Failing engines rolled themselves back inside StageWithMemo; undo the
-	// successfully staged engines newest-first, then the shared tables, so
-	// the class is bit-identical to its pre-delta state.
-	for i := len(se.engines) - 1; i >= 0; i-- {
-		if staged[i] {
-			se.engines[i].Rollback()
-		}
-	}
-	se.jnl.rollback()
-	return err
-}
-
-// poolSize resolves a worker-pool request against the number of tasks:
-// 0 means GOMAXPROCS, and the pool never exceeds the task count.
-func poolSize(requested, tasks int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > tasks {
-		w = tasks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	se.jnl.discard()
+	return nil
 }
 
 // SetFaultHook installs (nil removes) a fault-injection hook on every view
@@ -270,14 +166,8 @@ func (se *SharedEngines) SetFaultHook(h *faultinject.Hook) {
 // auxApply maintains one shared auxiliary table under a delta, applying
 // the SHARED local conditions (not any single view's) and the shared
 // semijoins.
-func (se *SharedEngines) auxApply(at *AuxTable, d Delta) error {
+func (se *SharedEngines) auxApply(at *AuxTable, meta *schema.Table, d Delta) error {
 	def := at.Def()
-	cat := se.sp.Views[0].Catalog()
-	meta := cat.Table(d.Table)
-	if meta == nil {
-		return fmt.Errorf("maintain: unknown table %s", d.Table)
-	}
-
 	var signed []signedRow
 	for _, r := range d.Deletes {
 		signed = append(signed, signedRow{row: r, s: -1})

@@ -3,6 +3,7 @@ package maintain
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mindetail/internal/core"
@@ -213,6 +214,24 @@ func TestSharedEnginesStorageCountedOnce(t *testing.T) {
 	if f.se.Engine(0).Aux("sale") != f.se.Engine(1).Aux("sale") {
 		t.Error("engines must share the same auxiliary table instance")
 	}
+}
+
+// TestSharedEnginesRejectUnknownTable: a delta on a table the class's
+// catalog does not define fails closed, as Warehouse.ApplyDelta does, and
+// changes nothing.
+func TestSharedEnginesRejectUnknownTable(t *testing.T) {
+	f := newSharedFixture(t,
+		`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt
+		 FROM sale, time WHERE sale.timeid = time.id GROUP BY time.month`,
+	)
+	f.seedRetail()
+	f.init()
+	before := captureEngine(f.se.Engine(0), f.views[0].Tables)
+	err := f.se.Apply(Delta{Table: "nosuch", Inserts: []tuple.Tuple{{types.Int(1)}}})
+	if err == nil || !strings.Contains(err.Error(), "unknown table nosuch") {
+		t.Fatalf("Apply on an unknown table: err = %v, want unknown table", err)
+	}
+	before.requireUnchanged(t, f.se.Engine(0), f.views[0].Tables, "unknown table")
 }
 
 // TestSharedEnginesWithHaving: the HAVING filter applies per view on top

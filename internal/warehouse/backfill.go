@@ -104,12 +104,6 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
-	// The engine initializes from the source state of the current epoch
-	// and catches up on every later delta through the same staging path
-	// propagate uses, so its history — and therefore its bits — match a
-	// view created synchronously at this epoch: it may share that epoch's
-	// memoized per-delta work.
-	eng.SetMemoScope(fmt.Sprintf("epoch%d", w.epoch))
 	if w.auxFactory != nil {
 		if err := eng.SetAuxStores(w.adaptFactory(st.Name)); err != nil {
 			w.mu.Unlock()

@@ -127,9 +127,11 @@ func TestWarehouseSetObsTogglesTimings(t *testing.T) {
 }
 
 // fanWarehouse builds a warehouse with k identical copies of the paper
-// view; serial pins propagation to one worker.
-func fanWarehouse(t *testing.T, k int, serial bool) *Warehouse {
+// view, staging on a pool of procs workers (GOMAXPROCS, restored when the
+// test ends).
+func fanWarehouse(t *testing.T, k, procs int) *Warehouse {
 	t.Helper()
+	setProcs(t, procs)
 	w := New()
 	if _, err := w.Exec(setupSQL); err != nil {
 		t.Fatal(err)
@@ -140,70 +142,15 @@ func fanWarehouse(t *testing.T, k int, serial bool) *Warehouse {
 			t.Fatal(err)
 		}
 	}
-	if serial {
-		w.PropagateWorkers = 1
-	}
 	return w
 }
 
-// TestWarehouseMemoCountersOracle: the memo hit/miss counters of a
-// parallel propagation must agree with a serial shadow run (the memo's
-// work-sharing is deterministic even when staging fans out), and with the
-// closed form for k identical views: per delta, every unique memo key is
-// missed exactly once, every engine probes every key except the expand key
-// (it is nested inside the filter computation and only ever probed by the
-// engine computing the filter), so with m unique keys the probes are
-// k*(m-1)+1 and the hits (k-1)*(m-1). Summed over D deltas:
-// hits = (k-1) * (misses - D). Serial runs resolve every hit after the
-// entry is complete, so they must never count a wait.
-func TestWarehouseMemoCountersOracle(t *testing.T) {
-	const k = 4
-	deltas := []maintain.Delta{
-		{Table: "sale", Inserts: []tuple.Tuple{
-			{types.Int(50), types.Int(1), types.Int(100), types.Int(7), types.Float(3)},
-		}},
-		{Table: "sale", Deletes: []tuple.Tuple{
-			{types.Int(3), types.Int(2), types.Int(101), types.Int(7), types.Float(5)},
-		}},
-		{Table: "product", Updates: []maintain.Update{{
-			Old: tuple.Tuple{types.Int(101), types.Str("bolt"), types.Str("tools")},
-			New: tuple.Tuple{types.Int(101), types.Str("nut"), types.Str("tools")},
-		}}},
-	}
-	run := func(serial bool) (hits, misses, waits int64) {
-		w := fanWarehouse(t, k, serial)
-		w.DetachSources()
-		for _, d := range deltas {
-			if err := w.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c := counters(w)
-		return c["maintain.memo.hits"], c["maintain.memo.misses"], c["maintain.memo.waits"]
-	}
-	ph, pm, _ := run(false)
-	sh, sm, sw := run(true)
-	if ph != sh || pm != sm {
-		t.Errorf("parallel memo counters (hits=%d misses=%d) disagree with serial shadow (hits=%d misses=%d)",
-			ph, pm, sh, sm)
-	}
-	if sw != 0 {
-		t.Errorf("serial shadow counted %d memo waits", sw)
-	}
-	if pm == 0 {
-		t.Fatal("no memo misses recorded across deltas")
-	}
-	if want := (k - 1) * (pm - int64(len(deltas))); ph != want {
-		t.Errorf("hits = %d, want (k-1)*(misses-D) = %d (misses=%d, D=%d)", ph, want, pm, len(deltas))
-	}
-}
-
 // TestWarehouseConcurrentMetricsReaders hammers Query and MetricsSnapshot
-// from concurrent readers while deltas propagate — the observability
-// surface must be race-clean against the lock-free read path (this test
-// earns its keep under -race).
+// from concurrent readers while deltas propagate on a four-wide pool — the
+// observability surface must be race-clean against the lock-free read path
+// (this test earns its keep under -race).
 func TestWarehouseConcurrentMetricsReaders(t *testing.T) {
-	w := fanWarehouse(t, 4, false)
+	w := fanWarehouse(t, 4, 4)
 	w.DetachSources()
 	old := tuple.Tuple{types.Int(1), types.Int(1), types.Int(100), types.Int(7), types.Float(10)}
 	alt := old.Clone()

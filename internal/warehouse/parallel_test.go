@@ -2,13 +2,23 @@ package warehouse
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"mindetail/internal/ra"
 )
 
-// extraViews adds a mix of views on top of newRetail's product_sales:
-// an exact replica (so the per-delta memo is exercised end to end), a
+// setProcs sets GOMAXPROCS, and with it the width of the propagation pool,
+// restoring the previous value when the test ends. Tests that call it must
+// not run in parallel.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// addFanoutViews adds a mix of views on top of newRetail's product_sales:
+// an exact copy (two engines doing identical work side by side), a
 // time-free rollup (so snapshot invalidation can be observed per table),
 // and a MAX view whose group recomputation path is the most fragile one.
 func addFanoutViews(t *testing.T, w *Warehouse) {
@@ -37,14 +47,13 @@ func addFanoutViews(t *testing.T, w *Warehouse) {
 }
 
 // TestFaultInjectionParallelPropagate sweeps DML through a warehouse whose
-// views stage concurrently (4 workers) and share work through the delta
-// memo. Every injected failure must leave sources and all four views
-// exactly as before the statement — the parallel scheduler may not weaken
-// the all-or-nothing guarantee the serial path gives.
+// views stage concurrently (a four-wide pool). Every injected failure must
+// leave sources and all four views exactly as before the statement — the
+// pool may not weaken the all-or-nothing guarantee the serial path gives.
 func TestFaultInjectionParallelPropagate(t *testing.T) {
+	setProcs(t, 4)
 	w := newRetail(t)
 	addFanoutViews(t, w)
-	w.PropagateWorkers = 4
 	steps := []string{
 		`INSERT INTO sale VALUES (6, 2, 100, 7, 30)`,
 		`UPDATE sale SET price = 12 WHERE id = 2`,
@@ -115,11 +124,11 @@ func TestQuerySnapshotCaching(t *testing.T) {
 }
 
 // TestWarehouseMemoShadow runs the same delta stream through a default
-// warehouse (parallel staging, memoized, snapshot cache on) and a shadow
-// configured to the old serial behavior (one worker, no memo, no snapshot
-// cache). After every statement, every view must match byte for byte: the
-// memo and the scheduler are pure performance features with no observable
-// effect on view contents.
+// warehouse staging on a four-wide pool, snapshot cache on, and a serial
+// shadow (GOMAXPROCS 1, no snapshot cache). After every statement, every
+// view must match byte for byte and both must verify against
+// recomputation: the pool and the cache are pure performance features with
+// no observable effect on view contents.
 func TestWarehouseMemoShadow(t *testing.T) {
 	build := func() *Warehouse {
 		w := New()
@@ -132,11 +141,9 @@ func TestWarehouseMemoShadow(t *testing.T) {
 		addFanoutViews(t, w)
 		return w
 	}
+	setProcs(t, 4)
 	fast := build()
-	fast.PropagateWorkers = 4
 	slow := build()
-	slow.PropagateWorkers = 1
-	slow.DisableMemo = true
 	slow.DisableSnapshots = true
 
 	steps := []string{
@@ -151,11 +158,19 @@ func TestWarehouseMemoShadow(t *testing.T) {
 		`INSERT INTO sale VALUES (9, 9, 100, 7, 11)`,
 	}
 	for _, sql := range steps {
+		runtime.GOMAXPROCS(4)
 		if _, err := fast.Exec(sql); err != nil {
 			t.Fatalf("fast %q: %v", sql, err)
 		}
+		runtime.GOMAXPROCS(1)
 		if _, err := slow.Exec(sql); err != nil {
 			t.Fatalf("slow %q: %v", sql, err)
+		}
+		if err := fast.Verify(); err != nil {
+			t.Fatalf("after %q: fast: %v", sql, err)
+		}
+		if err := slow.Verify(); err != nil {
+			t.Fatalf("after %q: slow: %v", sql, err)
 		}
 		for _, name := range fast.ViewNames() {
 			fr, err := fast.Query(name)
@@ -168,7 +183,7 @@ func TestWarehouseMemoShadow(t *testing.T) {
 			}
 			got, want := fr.Sorted().Format(), sr.Sorted().Format()
 			if got != want {
-				t.Fatalf("after %q: view %s diverged from serial shadow\nmemoized:\n%s\nserial:\n%s",
+				t.Fatalf("after %q: view %s diverged from serial shadow\npooled:\n%s\nserial:\n%s",
 					sql, name, got, want)
 			}
 		}

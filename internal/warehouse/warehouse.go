@@ -14,7 +14,6 @@ package warehouse
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -114,12 +113,6 @@ type Warehouse struct {
 	// any lock.
 	viewIdx atomic.Pointer[map[string]*View]
 
-	// epoch counts committed propagations. Engines record the epoch they
-	// were created at in their memo scope: only views initialized from the
-	// same source state may share memoized per-delta work (equal SQL after
-	// different histories could differ in float accumulation order).
-	epoch uint64
-
 	// UseNeedSets configures engines created by subsequent CREATE VIEW
 	// statements (Need-set-restricted delta joins, on by default).
 	UseNeedSets bool
@@ -128,15 +121,6 @@ type Warehouse struct {
 	// the sources only ever receive insertions, MIN/MAX compress into the
 	// auxiliary views, and deletions/updates are rejected.
 	AppendOnly bool
-
-	// PropagateWorkers bounds the number of view engines staging one delta
-	// concurrently; 0 means GOMAXPROCS, 1 forces the serial path. Commit
-	// and rollback remain serial in view order either way.
-	PropagateWorkers int
-
-	// DisableMemo turns off cross-view work sharing through the per-delta
-	// DeltaMemo — the verification/baseline configuration.
-	DisableMemo bool
 
 	// DisableSnapshots makes Query bypass the copy-on-write snapshot cache
 	// and rebuild the result under the read lock on every call (the
@@ -520,10 +504,6 @@ func (w *Warehouse) applyCreateView(st *sqlparse.CreateView) error {
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
-	// Views created at the same epoch are initialized from the same source
-	// state, so equal-fingerprint engines are bit-identical replicas and may
-	// share per-delta memoized work; later-created views get a later epoch.
-	eng.SetMemoScope(fmt.Sprintf("epoch%d", w.epoch))
 	if w.auxFactory != nil {
 		if err := eng.SetAuxStores(w.adaptFactory(st.Name)); err != nil {
 			return err
@@ -592,10 +572,6 @@ func (w *Warehouse) RestoreView(name, selectSQL string, appendOnly bool, st *mai
 	if !w.obsTimingOff {
 		eng.SetMetrics(w.met.engineMet)
 	}
-	// A restored engine's state comes from a snapshot with an unknown
-	// history, so it must never share memoized work: give it a scope of its
-	// own (view names are unique within a warehouse).
-	eng.SetMemoScope("restored:" + name)
 	if w.auxFactory != nil {
 		if err := eng.SetAuxStores(w.adaptFactory(name)); err != nil {
 			return err
@@ -949,21 +925,17 @@ func (w *Warehouse) update(st *sqlparse.Update) error {
 }
 
 // propagate applies a delta to every materialized view's engine,
-// atomically across views: each engine stages the delta (its own undo log
-// retained); when every engine succeeds they all commit, and when any view
-// fails, the staged views are rolled back in reverse order so no view ever
-// reflects a delta that others rejected.
-//
-// Independent views stage concurrently on a bounded worker pool, sharing
-// per-delta work (expansion, filtering, delta-detail joins, group
-// recomputation) through a DeltaMemo; commit and rollback stay serial in
-// view order, and snapshot versions are bumped only after every engine has
-// committed, so readers on the lock-free Query path never observe a
-// half-propagated delta.
+// atomically across views, through maintain.Propagate: the engines stage
+// on a pool as wide as GOMAXPROCS, then all commit, or the staged ones roll
+// back newest-first so no view ever reflects a delta that others rejected.
+// The PropagateView injection point fires on this goroutine in view order,
+// so fault sweeps visit it deterministically however staging fans out.
+// Snapshot versions are bumped only after every engine has committed, so
+// readers on the lock-free Query path never observe a half-propagated
+// delta.
 func (w *Warehouse) propagate(d maintain.Delta) error {
 	n := len(w.order)
 	if n == 0 {
-		w.epoch++
 		w.feedBackfills(d)
 		return nil
 	}
@@ -971,74 +943,14 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 	if !w.obsTimingOff || w.opLog != nil {
 		start = time.Now()
 	}
-	var memo *maintain.DeltaMemo
-	if !w.DisableMemo {
-		memo = maintain.NewDeltaMemo()
+	engines := make([]*maintain.Engine, n)
+	for i, name := range w.order {
+		engines[i] = w.views[name].Engine
 	}
-	staged := make([]bool, n)
-	errs := make([]error, n)
-	if workers := w.propagatePool(n); workers <= 1 {
-		for i, name := range w.order {
-			if ferr := w.fi.Fire(faultinject.PropagateView); ferr != nil {
-				errs[i] = ferr
-				break
-			}
-			if aerr := w.views[name].Engine.StageWithMemo(d, memo); aerr != nil {
-				errs[i] = aerr
-				break
-			}
-			staged[i] = true
-		}
-	} else {
-		// The injection point fires on the coordinating goroutine in view
-		// order, so fault sweeps visit it deterministically; the staging
-		// itself fans out. Each engine journals only its own state, so
-		// staging goroutines share nothing but the read-only memo.
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, name := range w.order {
-			if ferr := w.fi.Fire(faultinject.PropagateView); ferr != nil {
-				errs[i] = ferr
-				break
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			w.met.poolOcc.Add(1)
-			go func(i int, eng *maintain.Engine) {
-				defer wg.Done()
-				defer func() { <-sem; w.met.poolOcc.Add(-1) }()
-				if aerr := eng.StageWithMemo(d, memo); aerr != nil {
-					errs[i] = aerr
-					return
-				}
-				staged[i] = true
-			}(i, w.views[name].Engine)
-		}
-		wg.Wait()
-	}
-	if memo != nil {
-		// Attribute this delta's cross-view work sharing to the maintenance
-		// sink (nil-safe; a no-op when observability is off).
-		w.met.engineMet.AddMemoStats(memo.Stats())
-	}
-	stagedN := int64(0)
-	for _, s := range staged {
-		if s {
-			stagedN++
-		}
-	}
-	w.met.viewsStaged.Add(stagedN)
-	var err error
-	for i, aerr := range errs {
-		if aerr != nil {
-			err = fmt.Errorf("warehouse: view %s: %w", w.order[i], aerr)
-			break
-		}
-	}
+	fire := func(int) error { return w.fi.Fire(faultinject.PropagateView) }
+	stagedN, err := maintain.Propagate(engines, d, fire, w.met.poolOcc)
+	w.met.viewsStaged.Add(int64(stagedN))
 	if err == nil {
-		for _, name := range w.order {
-			w.views[name].Engine.Commit()
-		}
 		// Invalidate cached snapshots, but only of views the delta can
 		// actually change: the rest keep serving their snapshot untouched.
 		invalidated := int64(0)
@@ -1048,7 +960,6 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 				invalidated++
 			}
 		}
-		w.epoch++
 		w.feedBackfills(d)
 		w.met.viewsCommitted.Add(int64(n))
 		w.met.snapInvalidated.Add(invalidated)
@@ -1063,32 +974,14 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 		}
 		return nil
 	}
-	// Failing engines rolled themselves back inside StageWithMemo; undo the
-	// successfully staged engines, newest first. Versions were never bumped,
-	// so cached snapshots stay valid — readers never saw the delta.
-	for i := n - 1; i >= 0; i-- {
-		if staged[i] {
-			w.views[w.order[i]].Engine.Rollback()
-		}
-	}
-	w.met.viewsRolledBack.Add(stagedN)
+	// Versions were never bumped, so cached snapshots stay valid — readers
+	// never saw the delta.
+	w.met.viewsRolledBack.Add(int64(stagedN))
 	w.met.propagateErrs.Inc()
 	if !w.obsTimingOff {
 		w.met.propagateNs.ObserveSince(start)
 	}
-	return err
-}
-
-// propagatePool resolves the staging worker-pool size for n views.
-func (w *Warehouse) propagatePool(n int) int {
-	p := w.PropagateWorkers
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > n {
-		p = n
-	}
-	return p
+	return fmt.Errorf("warehouse: %w", err)
 }
 
 // ApplyDelta propagates an externally produced delta (a change-log entry)

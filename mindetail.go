@@ -174,7 +174,9 @@ func DeriveShared(cat *Catalog, views map[string]string) (*SharedPlan, error) {
 }
 
 // SharedEngines maintains a class of views over one shared auxiliary-view
-// set (see internal/maintain).
+// set (see internal/maintain). Its Apply stages the views through the same
+// all-or-nothing coordinator a Warehouse uses, and rejects a delta on a
+// table the class's catalog does not define.
 type SharedEngines = maintain.SharedEngines
 
 // NewSharedEngines builds a maintenance coordinator for a shared plan;

@@ -75,16 +75,13 @@ func benchFanout(n int, obsOn bool) (testing.BenchmarkResult, *warehouse.Warehou
 }
 
 // benchQueryUnderWriteLoad measures Query latency on an 8-view warehouse
-// while a background writer continuously propagates deltas. The default
-// configuration serves lock-free published snapshots; locked=true disables
-// the snapshot cache, so every read re-materializes the view under the
-// read lock and queues behind in-flight propagations.
-func benchQueryUnderWriteLoad(locked bool) (testing.BenchmarkResult, error) {
+// while a background writer continuously propagates deltas: reads are
+// served lock-free from published snapshots.
+func benchQueryUnderWriteLoad() (testing.BenchmarkResult, error) {
 	w, imgs, err := fanoutWarehouse(8)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}
-	w.DisableSnapshots = locked
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var writeErr error
@@ -145,15 +142,10 @@ func runFanoutBenches(stageHists map[string]map[string]obs.HistogramSnapshot) ([
 			out = append(out, toResult(name+"/no-obs", noObs))
 		}
 	}
-	snap, err := benchQueryUnderWriteLoad(false)
+	snap, err := benchQueryUnderWriteLoad()
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, toResult("QueryUnderWriteLoad", snap))
-	lock, err := benchQueryUnderWriteLoad(true)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, toResult("QueryUnderWriteLoad/locked", lock))
 	return out, nil
 }

@@ -290,7 +290,9 @@ func (e *Engine) ResetStats() { e.stats.reset() }
 // a delta can actually change.
 func (e *Engine) References(table string) bool { return e.tableSet[table] }
 
-// Snapshot returns the user-facing contents of the maintained view.
+// Snapshot returns the user-facing contents of the maintained view. It
+// re-renders only the groups committed deltas touched since the previous
+// call and shares every other row with it, so the relation is read-only.
 func (e *Engine) Snapshot() *ra.Relation { return e.mv.Snapshot() }
 
 // Groups returns the number of maintained view groups.
@@ -360,6 +362,7 @@ func (e *Engine) initMV(src func(table string) *ra.Relation) error {
 	if e.mv.global() && len(groups) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}
+	e.mv.resetPublished()
 	return nil
 }
 
@@ -482,8 +485,10 @@ func (e *Engine) auxReadErr() error {
 	return first
 }
 
-// Commit discards the undo journal of a successful staged apply.
+// Commit discards the undo journal of a successful staged apply, first
+// handing the view groups it journaled to the next Snapshot to re-render.
 func (e *Engine) Commit() {
+	e.mv.markDirty(e.jnl.ents)
 	if e.met == nil || !e.jnl.recording {
 		// No sink, or nothing staged (the delta's table was unreferenced):
 		// commit is a free no-op — don't pollute the commit histogram.

@@ -118,6 +118,9 @@ func (e *Engine) stageEnd(stage int, start time.Time) {
 // rollbackJournal rolls the undo journal back, timing the replay and
 // counting the rollback; cause distinguishes fault-injected failures.
 func (e *Engine) rollbackJournal(cause error) {
+	// A Snapshot taken while the apply was staged rendered the groups the
+	// rollback restores: they re-render like committed ones.
+	e.mv.markDirty(e.jnl.ents)
 	if e.met == nil {
 		e.jnl.rollback()
 		return

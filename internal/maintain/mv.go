@@ -14,6 +14,7 @@ package maintain
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mindetail/internal/aggregates"
 	"mindetail/internal/gpsj"
@@ -73,11 +74,32 @@ type MaterializedView struct {
 	// rows maps the encoded group-by key to the component tuple, with one
 	// extra trailing value: the hidden group COUNT(*).
 	rows map[string]tuple.Tuple
+
+	// pub is Snapshot's last output, patched rather than rebuilt.
+	pub published
+}
+
+// published is the last output of Snapshot: the group keys in sorted order
+// and the rendered rows, position for position. dirty holds the group keys
+// that commits journaled since (Engine.Commit hands them over); all forces
+// every group to re-render (after initMV or ImportState replaced the rows
+// wholesale). mu guards it all: the warehouse runs concurrent Snapshot
+// calls under its read lock. spare is the previous keys slice, reused as
+// the next merge's output (the keys are never published; the rows are).
+type published struct {
+	mu    sync.Mutex
+	keys  []string
+	rows  []tuple.Tuple
+	dirty map[string]struct{}
+	all   bool
+	spare []string
 }
 
 // NewMaterializedView builds an empty maintenance form for the view.
 func NewMaterializedView(v *gpsj.View) *MaterializedView {
 	mv := &MaterializedView{view: v, rows: make(map[string]tuple.Tuple)}
+	mv.pub.dirty = make(map[string]struct{})
+	mv.pub.all = true
 	for _, it := range v.Items {
 		var idxs []int
 		add := func(c component) {
@@ -252,46 +274,133 @@ func (mv *MaterializedView) setRow(row tuple.Tuple) {
 	mv.rows[mv.keyOf(row)] = row
 }
 
+// resetPublished drops Snapshot's previous output: the next one renders
+// every group. Callers that replace the rows wholesale (initMV,
+// ImportState) call it.
+func (mv *MaterializedView) resetPublished() {
+	p := &mv.pub
+	p.mu.Lock()
+	p.keys, p.rows, p.all = nil, nil, true
+	clear(p.dirty)
+	p.mu.Unlock()
+}
+
+// markDirty records the view groups an apply journaled, so the next
+// Snapshot re-renders exactly those. Engine.Commit and rollback call it
+// with the journal's entries before discarding them. Until the first
+// Snapshot after a reset (a WAL replay, say) every group re-renders
+// anyway, so nothing is recorded.
+func (mv *MaterializedView) markDirty(ents []undoEntry) {
+	if len(ents) == 0 {
+		return
+	}
+	p := &mv.pub
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.all {
+		return
+	}
+	for i := range ents {
+		if ents[i].mv == mv {
+			p.dirty[ents[i].key] = struct{}{}
+		}
+	}
+}
+
 // Snapshot renders the user-facing contents of the view: one output column
 // per view item, combining components (COUNT from its counter, SUM from its
-// running sum, AVG = SUM/COUNT, stored values directly). An empty SUM/AVG
-// group (possible only for global views) yields NULL, matching SQL.
+// running sum, AVG = SUM/COUNT, stored values directly), one row per group
+// in key order. An empty SUM/AVG group (possible only for global views)
+// yields NULL, matching SQL.
+//
+// Only the groups committed applies touched since the previous call are
+// rendered again; every other row is shared with the previous output. The
+// returned relation is therefore shared, read-only state.
 func (mv *MaterializedView) Snapshot() *ra.Relation {
 	cols := make(ra.Schema, len(mv.view.Items))
 	for i, it := range mv.view.Items {
 		cols[i] = ra.Col{Name: it.Name}
 	}
 	out := ra.NewRelation(cols)
-	keys := make([]string, 0, len(mv.rows))
-	for k := range mv.rows {
-		keys = append(keys, k)
+	p := &mv.pub
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.all || len(p.dirty) > 0 {
+		mv.patch()
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		row := mv.rows[k]
-		orow := make(tuple.Tuple, len(mv.view.Items))
-		for i, it := range mv.view.Items {
-			idxs := mv.itemComps[i]
-			switch {
-			case !it.IsAggregate():
-				orow[i] = row[idxs[0]]
-			case it.Agg.Func == ra.FuncAvg && aggregates.IsCSMAS(it.Agg):
-				sum, cnt := row[idxs[0]], row[idxs[1]]
-				if sum.IsNull() || cnt.AsInt() == 0 {
-					orow[i] = types.Null
-				} else {
-					orow[i] = types.Float(sum.AsFloat() / float64(cnt.AsInt()))
-				}
-			case it.Agg.Func != ra.FuncCount && row[mv.hiddenIdx()].AsInt() == 0:
-				// An empty (global) group: SUM/AVG/MIN/MAX are NULL.
-				orow[i] = types.Null
-			default:
-				orow[i] = row[idxs[0]]
-			}
-		}
-		out.Rows = append(out.Rows, orow)
-	}
+	out.Rows = p.rows
 	return out
+}
+
+// patch merges the dirty groups into the previous output in key order.
+// Clean rows are shared, dirty ones re-rendered; a dirty key the previous
+// output lacks is a birth, and one the rows no longer hold a death. A full
+// render is the same merge with every key dirty and nothing published.
+// Callers hold pub.mu.
+func (mv *MaterializedView) patch() {
+	p := &mv.pub
+	var dirty []string
+	if p.all {
+		dirty = make([]string, 0, len(mv.rows))
+		for k := range mv.rows {
+			dirty = append(dirty, k)
+		}
+	} else {
+		dirty = make([]string, 0, len(p.dirty))
+		for k := range p.dirty {
+			dirty = append(dirty, k)
+		}
+	}
+	sort.Strings(dirty)
+	keys := p.spare[:0]
+	rows := make([]tuple.Tuple, 0, len(p.rows)+len(dirty))
+	i := 0
+	for _, k := range dirty {
+		for i < len(p.keys) && p.keys[i] < k {
+			keys = append(keys, p.keys[i])
+			rows = append(rows, p.rows[i])
+			i++
+		}
+		if i < len(p.keys) && p.keys[i] == k {
+			i++ // re-rendered below, or dead
+		}
+		if row, ok := mv.rows[k]; ok {
+			keys = append(keys, k)
+			rows = append(rows, mv.render(row))
+		}
+	}
+	keys = append(keys, p.keys[i:]...)
+	rows = append(rows, p.rows[i:]...)
+	// The published rows are capped at their length, so a reader appending
+	// to them copies instead of writing into the next merge's view.
+	p.spare, p.keys, p.rows = p.keys, keys, rows[:len(rows):len(rows)]
+	clear(p.dirty)
+	p.all = false
+}
+
+// render turns one component row into its user-facing row.
+func (mv *MaterializedView) render(row tuple.Tuple) tuple.Tuple {
+	orow := make(tuple.Tuple, len(mv.view.Items))
+	for i, it := range mv.view.Items {
+		idxs := mv.itemComps[i]
+		switch {
+		case !it.IsAggregate():
+			orow[i] = row[idxs[0]]
+		case it.Agg.Func == ra.FuncAvg && aggregates.IsCSMAS(it.Agg):
+			sum, cnt := row[idxs[0]], row[idxs[1]]
+			if sum.IsNull() || cnt.AsInt() == 0 {
+				orow[i] = types.Null
+			} else {
+				orow[i] = types.Float(sum.AsFloat() / float64(cnt.AsInt()))
+			}
+		case it.Agg.Func != ra.FuncCount && row[mv.hiddenIdx()].AsInt() == 0:
+			// An empty (global) group: SUM/AVG/MIN/MAX are NULL.
+			orow[i] = types.Null
+		default:
+			orow[i] = row[idxs[0]]
+		}
+	}
+	return orow
 }
 
 // Bytes returns the byte-accounting size of the maintenance form.

@@ -1,9 +1,11 @@
-// Seeded shadow test of net-effect avoidance and the streaming recompute
-// kernel: after every delta the engine's component rows — hidden counts
-// included — must be types.Identical, cell for cell, to a ForceFullRecompute
-// twin (which recomputes every group a deletion touches, from the full
-// auxiliary join) and to an engine initialized from scratch. External test
-// package for the same reason as pagedstore_test.go.
+// Seeded shadow test of net-effect avoidance, the streaming recompute
+// kernel and the patched publish: after every delta the engine's component
+// rows — hidden counts included — must be types.Identical, cell for cell,
+// to a ForceFullRecompute twin (which recomputes every group a deletion
+// touches, from the full auxiliary join) and to an engine initialized from
+// scratch; and its Snapshot, re-rendered only where commits touched it,
+// must equal row for row the full render of an engine that imported its
+// state. External test package for the same reason as pagedstore_test.go.
 package maintain_test
 
 import (
@@ -38,6 +40,9 @@ var shadowViews = []struct{ name, sql string }{
 		COUNT(DISTINCT brand) AS brands, SUM(price) AS total, COUNT(*) AS n
 		FROM sale, time, product
 		WHERE sale.timeid = time.id AND sale.productid = product.id GROUP BY time.month`},
+	{"global", `SELECT MIN(price) AS lo, MAX(price) AS hi, SUM(price) AS total, COUNT(*) AS n FROM sale`},
+	{"having", `SELECT product.id, MAX(price) AS hi, COUNT(*) AS n
+		FROM sale, product WHERE sale.productid = product.id GROUP BY product.id HAVING n > 15`},
 }
 
 // shadowRig drives one engine, its full-recompute twin and the source
@@ -128,9 +133,17 @@ func (r *shadowRig) insert(table string, vals ...types.Value) {
 	}
 }
 
-// apply feeds one delta to the engine and the twin, then checks both.
+// apply feeds one delta to the engine and the twin, then checks both. The
+// engine first stages the delta and rolls it back, with a Snapshot taken
+// in between, and its published output must come back unchanged.
 func (r *shadowRig) apply(name string, d maintain.Delta) {
 	r.t.Helper()
+	if err := r.eng.Stage(d); err != nil {
+		r.t.Fatalf("%s: stage: %v", name, err)
+	}
+	r.eng.Snapshot()
+	r.eng.Rollback()
+	r.checkPublished(name + " (rolled back)")
 	if err := r.eng.Apply(d); err != nil {
 		r.t.Fatalf("%s: %v", name, err)
 	}
@@ -154,6 +167,37 @@ func (r *shadowRig) check(when string) {
 			if !tuple.Identical(got[i], want[i]) {
 				r.t.Fatalf("%s: group %d is %v, %s has %v", when, i, got[i], who, want[i])
 			}
+		}
+	}
+	r.checkPublished(when)
+}
+
+// checkPublished compares the engine's patched Snapshot, after HAVING, with
+// the full render of an engine built by ImportState(ExportState()).
+func (r *shadowRig) checkPublished(when string) {
+	r.t.Helper()
+	full, err := maintain.NewEngine(r.plan)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := full.ImportState(r.eng.ExportState()); err != nil {
+		r.t.Fatal(err)
+	}
+	v := r.plan.View
+	got, err := v.ApplyHaving(r.eng.Snapshot())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	want, err := v.ApplyHaving(full.Snapshot())
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		r.t.Fatalf("%s: published %d rows, a full render has %d", when, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if !tuple.Identical(got.Rows[i], want.Rows[i]) {
+			r.t.Fatalf("%s: published row %d is %v, a full render has %v", when, i, got.Rows[i], want.Rows[i])
 		}
 	}
 }
@@ -229,6 +273,24 @@ func (r *shadowRig) scripted() {
 	r.apply("sole row of a group repriced", sale(upd(r.update("sale", sole[0].AsInt(), map[string]types.Value{"price": types.Float(9.5)}))))
 	r.apply("sole row of a group deleted", sale(del(r.dropSale(sole[0].AsInt()))))
 
+	// A Snapshot taken while a delta is staged renders, from staged state,
+	// the groups an earlier commit left dirty; the rollback must hand them
+	// back to be rendered again. The staged fact never reaches the sources.
+	first := sale(ins(r.newSale(5, 3, types.Float(2.5))))
+	if err := r.eng.Apply(first); err != nil {
+		r.t.Fatal(err)
+	}
+	if err := r.twin.Apply(first); err != nil {
+		r.t.Fatal(err)
+	}
+	ghost := tuple.Tuple{types.Int(r.next + 1), types.Int(5), types.Int(3), types.Int(1), types.Float(4.75)}
+	if err := r.eng.Stage(sale(ins(ghost))); err != nil {
+		r.t.Fatal(err)
+	}
+	r.eng.Snapshot()
+	r.eng.Rollback()
+	r.check("snapshot while staged over dirty groups, then rollback")
+
 	mover := r.live[0]
 	r.apply("update moves a fact to another group (timeid change)",
 		sale(upd(r.update("sale", mover, map[string]types.Value{"timeid": types.Int(45)}))))
@@ -300,5 +362,37 @@ func TestAvoidanceShadowsFullRecompute(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPatchedPublishShadowsRekey covers the one mutation site the shadow
+// views above never reach: with the sale auxiliary view omitted, a brand
+// rename re-keys whole view groups (Engine.rekey) instead of adjusting
+// them. The patched Snapshot must follow the moved groups.
+func TestPatchedPublishShadowsRekey(t *testing.T) {
+	for _, paged := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "paged"}[paged], func(t *testing.T) {
+			r := newShadowRig(t, `SELECT product.id, product.brand, SUM(price) AS total, COUNT(*) AS n
+				FROM sale, product WHERE sale.productid = product.id GROUP BY product.id, product.brand`, paged)
+			if r.eng.Aux("sale") != nil {
+				t.Fatal("sale auxiliary view kept; the rekey path is not reached")
+			}
+			moved := 0
+			for step := 0; step < 25; step++ {
+				if step%3 != 0 {
+					r.random(step)
+					continue
+				}
+				before := r.eng.Stats().GroupAdjusts
+				id := int64(1 + r.rng.Intn(12))
+				r.apply(fmt.Sprintf("rekey step %d", step), maintain.Delta{Table: "product",
+					Updates: []maintain.Update{r.update("product", id, map[string]types.Value{
+						"brand": types.Str(fmt.Sprintf("brand%d", step))})}})
+				moved += r.eng.Stats().GroupAdjusts - before
+			}
+			if moved == 0 {
+				t.Fatal("no brand rename re-keyed a group")
+			}
+		})
 	}
 }

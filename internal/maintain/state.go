@@ -85,5 +85,6 @@ func (e *Engine) ImportState(st *State) error {
 	if e.mv.global() && len(rows) == 0 {
 		e.mv.setRow(e.mv.blank(nil))
 	}
+	e.mv.resetPublished()
 	return nil
 }

@@ -195,7 +195,7 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 		return abortLocked(ferr)
 	}
 	delete(w.pending, st.Name)
-	w.views[st.Name] = &View{Def: v, Plan: plan, Engine: eng}
+	w.views[st.Name] = w.newView(v, plan, eng)
 	w.order = append(w.order, st.Name)
 	w.publishViewIndex()
 	w.met.backfillActive.Add(-1)

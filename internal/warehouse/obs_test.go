@@ -17,7 +17,7 @@ func counters(w *Warehouse) map[string]int64 { return w.MetricsSnapshot().Counte
 // TestWarehouseCounters: one DML statement moves the propagate, staging,
 // commit and snapshot-invalidation counters by exactly the expected
 // amounts, and the query counters distinguish the lock-free hit, the
-// rebuild, and the locked slow path.
+// rebuild, and the versioned read that finds nothing changed.
 func TestWarehouseCounters(t *testing.T) {
 	w := newRetail(t)
 	// Drain the initial rebuild so the query-path deltas below are clean.
@@ -67,15 +67,22 @@ func TestWarehouseCounters(t *testing.T) {
 		t.Errorf("snapshot_hits moved by %d, want 1", got)
 	}
 
-	w.DisableSnapshots = true
-	before = counters(w)
-	if _, err := w.Query("product_sales"); err != nil {
+	// A versioned read at the current version reads nothing.
+	_, ver, err := w.QuerySince("product_sales", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counters(w)["warehouse.query.locked"] - before["warehouse.query.locked"]; got != 1 {
-		t.Errorf("query.locked moved by %d, want 1", got)
+	before = counters(w)
+	if rel, _, err := w.QuerySince("product_sales", ver); err != nil || rel != nil {
+		t.Fatalf("QuerySince at the current version = %v, %v; want nil, nil", rel, err)
 	}
-	w.DisableSnapshots = false
+	after = counters(w)
+	if got := after["warehouse.query.unchanged"] - before["warehouse.query.unchanged"]; got != 1 {
+		t.Errorf("query.unchanged moved by %d, want 1", got)
+	}
+	if got := after["warehouse.query.snapshot_hits"] - before["warehouse.query.snapshot_hits"]; got != 0 {
+		t.Errorf("snapshot_hits moved by %d on an unchanged read", got)
+	}
 
 	// A rejected statement rolls back: staged views are counted as rolled
 	// back, the propagate as an error, and nothing commits.

@@ -42,11 +42,14 @@ type View struct {
 	Plan   *core.Plan
 	Engine *maintain.Engine
 
-	// ver counts committed deltas that touched this view; snap caches the
-	// last user-facing relation together with the version it was built at.
-	// Together they give Query a lock-free fast path: a cached snapshot
-	// whose version still matches is immutable published state — readers
-	// see the pre-delta relation while a propagation is in flight and the
+	// ver is the view's version: a fresh value of the warehouse-wide
+	// counter, taken when the view is created and whenever a committed
+	// delta touches it, so a version never aliases across views or across
+	// a DROP and re-CREATE of one name. snap caches the last user-facing
+	// relation together with the version it was built at. Together they
+	// give Query a lock-free fast path: a cached snapshot whose version
+	// still matches is immutable published state — readers see the
+	// pre-delta relation while a propagation is in flight and the
 	// post-delta one after it commits, never a torn intermediate.
 	ver  atomic.Uint64
 	snap atomic.Pointer[viewSnap]
@@ -113,6 +116,10 @@ type Warehouse struct {
 	// any lock.
 	viewIdx atomic.Pointer[map[string]*View]
 
+	// versions is the counter every view version is drawn from (0 means
+	// "no version" to QuerySince, so the first value handed out is 1).
+	versions atomic.Uint64
+
 	// UseNeedSets configures engines created by subsequent CREATE VIEW
 	// statements (Need-set-restricted delta joins, on by default).
 	UseNeedSets bool
@@ -121,12 +128,6 @@ type Warehouse struct {
 	// the sources only ever receive insertions, MIN/MAX compress into the
 	// auxiliary views, and deletions/updates are rejected.
 	AppendOnly bool
-
-	// DisableSnapshots makes Query bypass the copy-on-write snapshot cache
-	// and rebuild the result under the read lock on every call (the
-	// pre-snapshot behavior, kept as a baseline and for callers that want
-	// a private mutable relation).
-	DisableSnapshots bool
 
 	// met is the observability surface (never nil); obsTimingOff suppresses
 	// the time-based instrumentation (see SetObs). The flag is read only
@@ -512,10 +513,17 @@ func (w *Warehouse) applyCreateView(st *sqlparse.CreateView) error {
 	if err := eng.Init(w.srcRel); err != nil {
 		return err
 	}
-	w.views[st.Name] = &View{Def: v, Plan: plan, Engine: eng}
+	w.views[st.Name] = w.newView(v, plan, eng)
 	w.order = append(w.order, st.Name)
 	w.publishViewIndex()
 	return nil
+}
+
+// newView wraps a maintained view at a fresh version.
+func (w *Warehouse) newView(def *gpsj.View, plan *core.Plan, eng *maintain.Engine) *View {
+	mv := &View{Def: def, Plan: plan, Engine: eng}
+	mv.ver.Store(w.versions.Add(1))
+	return mv
 }
 
 // publishViewIndex republishes the copy-on-write view index. Callers hold
@@ -580,7 +588,7 @@ func (w *Warehouse) RestoreView(name, selectSQL string, appendOnly bool, st *mai
 	if err := eng.ImportState(st); err != nil {
 		return err
 	}
-	w.views[name] = &View{Def: v, Plan: plan, Engine: eng}
+	w.views[name] = w.newView(v, plan, eng)
 	w.order = append(w.order, name)
 	w.publishViewIndex()
 	return nil
@@ -956,7 +964,7 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 		invalidated := int64(0)
 		for _, name := range w.order {
 			if mv := w.views[name]; mv.Engine.References(d.Table) {
-				mv.ver.Add(1)
+				mv.ver.Store(w.versions.Add(1))
 				invalidated++
 			}
 		}
@@ -1069,53 +1077,61 @@ func (w *Warehouse) ImportCSV(table string, r io.Reader, header bool) (int, erro
 	return n, nil
 }
 
-// Query returns the current contents of a materialized view.
-//
-// The returned relation is an immutable published snapshot shared between
-// callers: treat it as read-only (set DisableSnapshots for a private
-// mutable copy). The fast path is lock-free — while a delta is being
-// applied, readers are served the pre-delta snapshot without blocking, and
-// the post-delta state becomes visible only after every view committed, so
-// a reader never observes a torn or half-propagated view.
+// Query returns the current contents of a materialized view: QuerySince
+// with no version held.
 func (w *Warehouse) Query(view string) (*ra.Relation, error) {
-	if !w.DisableSnapshots {
-		if idx := w.viewIdx.Load(); idx != nil {
-			if mv := (*idx)[view]; mv != nil {
-				if s := mv.snap.Load(); s != nil && s.ver == mv.ver.Load() {
-					// One atomic add keeps the fast path lock-free.
-					w.met.queryHits.Inc()
-					return s.rel, nil
-				}
-				return w.rebuildSnap(mv)
-			}
-		}
-	}
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	mv := w.views[view]
-	if mv == nil {
-		return nil, fmt.Errorf("warehouse: unknown view %s", view)
-	}
-	w.met.queryLocked.Inc()
-	return mv.Def.ApplyHaving(mv.Engine.Snapshot())
+	rel, _, err := w.QuerySince(view, 0)
+	return rel, err
 }
 
-// rebuildSnap materializes and publishes a fresh snapshot of mv. The read
-// lock excludes writers (propagation runs under the write lock), so the
-// engine state is stable and corresponds exactly to the version read here;
-// concurrent rebuilds of the same version store interchangeable snapshots.
-func (w *Warehouse) rebuildSnap(mv *View) (*ra.Relation, error) {
+// QuerySince returns the contents of a materialized view and the version
+// they are at, unless the caller already holds that version (since): then
+// the relation is nil and nothing was read. since 0 holds no version.
+//
+// The returned relation is an immutable published snapshot shared between
+// callers: treat it as read-only. The path is lock-free while the cached
+// snapshot is current — while a delta is being applied, readers are served
+// the pre-delta snapshot without blocking, and the post-delta state becomes
+// visible only after every view committed, so a reader never observes a
+// torn or half-propagated view.
+func (w *Warehouse) QuerySince(view string, since uint64) (*ra.Relation, uint64, error) {
+	var mv *View
+	if idx := w.viewIdx.Load(); idx != nil {
+		mv = (*idx)[view]
+	}
+	if mv == nil {
+		return nil, 0, fmt.Errorf("warehouse: unknown view %s", view)
+	}
+	ver := mv.ver.Load()
+	if since != 0 && since == ver {
+		w.met.queryUnchanged.Inc()
+		return nil, ver, nil
+	}
+	if s := mv.snap.Load(); s != nil && s.ver == ver {
+		// One atomic add keeps the fast path lock-free.
+		w.met.queryHits.Inc()
+		return s.rel, ver, nil
+	}
+	return w.rebuildSnap(mv)
+}
+
+// rebuildSnap materializes and publishes a fresh snapshot of mv, returning
+// it with its version. The read lock excludes writers (propagation runs
+// under the write lock), so the engine state is stable and corresponds
+// exactly to the version read here; concurrent rebuilds of the same
+// version store interchangeable snapshots.
+func (w *Warehouse) rebuildSnap(mv *View) (*ra.Relation, uint64, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	w.met.queryRebuilds.Inc()
 	ver := mv.ver.Load()
 	rel, err := mv.Def.ApplyHaving(mv.Engine.Snapshot())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	mv.snap.Store(&viewSnap{ver: ver, rel: rel})
 	w.met.snapPublished.Inc()
-	return rel, nil
+	return rel, ver, nil
 }
 
 // Verify recomputes every view from the sources and compares. It fails
@@ -1180,8 +1196,7 @@ func (w *Warehouse) Report() []StorageReport {
 			}
 		}
 		sort.Strings(r.OmittedTables)
-		snap := mv.Engine.Snapshot()
-		r.ViewRows = snap.Len()
+		r.ViewRows = mv.Engine.Groups()
 		r.ViewBytes = mv.Engine.ViewBytes()
 		out = append(out, r)
 	}

@@ -38,7 +38,9 @@ var Magic = []byte{'M', 'D', 'W', 'I', 'R', 'E', 0x01, '\n'}
 const frameHeader = 8 // uint32 length + uint32 CRC-32C
 
 // DefaultMaxFrame bounds a single frame (16 MiB) so a garbage or hostile
-// length prefix cannot force a huge allocation; both ends enforce it.
+// length prefix cannot force a huge allocation; both ends enforce it. A
+// response whose payload would exceed it is answered with an error
+// instead.
 const DefaultMaxFrame = 16 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -55,7 +57,7 @@ const (
 	// KindExec executes a SQL script (DDL, DML, or queries).
 	KindExec Kind = 3
 	// KindQuery reads a materialized view through the lock-free snapshot
-	// path.
+	// path; the body names the version the client already holds.
 	KindQuery Kind = 4
 	// KindApply applies one externally produced delta through the server's
 	// group-commit pipeline.
@@ -70,12 +72,17 @@ const (
 	KindOK Kind = 64
 	// KindError carries an error message; the request failed.
 	KindError Kind = 65
-	// KindResult carries an optional result set (Exec, Query).
+	// KindResult carries an optional result set (Exec).
 	KindResult Kind = 66
 	// KindBatchResult carries one outcome per batch member.
 	KindBatchResult Kind = 67
 	// KindMetricsResult carries the metrics snapshot JSON.
 	KindMetricsResult Kind = 68
+	// KindView answers a Query with the view's version and contents.
+	KindView Kind = 69
+	// KindUnchanged answers a Query whose view is still at the version the
+	// client holds: the version only.
+	KindUnchanged Kind = 70
 )
 
 // String returns the symbolic name of the kind.
@@ -105,6 +112,10 @@ func (k Kind) String() string {
 		return "batch-result"
 	case KindMetricsResult:
 		return "metrics-result"
+	case KindView:
+		return "view"
+	case KindUnchanged:
+		return "unchanged"
 	}
 	return fmt.Sprintf("Kind(%d)", byte(k))
 }
@@ -112,7 +123,8 @@ func (k Kind) String() string {
 func validKind(k Kind) bool {
 	switch k {
 	case KindHello, KindPing, KindExec, KindQuery, KindApply, KindApplyBatch,
-		KindMetrics, KindOK, KindError, KindResult, KindBatchResult, KindMetricsResult:
+		KindMetrics, KindOK, KindError, KindResult, KindBatchResult, KindMetricsResult,
+		KindView, KindUnchanged:
 		return true
 	}
 	return false
@@ -124,6 +136,16 @@ type Frame struct {
 	Kind Kind
 	ID   uint64
 	Body []byte
+}
+
+// payloadLen is the length f's payload (kind + id + body) takes on the
+// wire: what a frame limit bounds.
+func payloadLen(f Frame) int {
+	n := 2 + len(f.Body) // kind byte + the id's last uvarint byte
+	for id := f.ID; id >= 0x80; id >>= 7 {
+		n++
+	}
+	return n
 }
 
 // AppendFrame appends the full wire encoding of f (header + payload).

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -39,7 +40,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 	var wbuf []byte
 	var err error
 	frames := []Frame{
-		{Kind: KindQuery, ID: 1, Body: AppendStringBody(nil, "product_sales")},
+		{Kind: KindQuery, ID: 1, Body: AppendQueryBody(nil, "product_sales", 0)},
 		{Kind: KindApply, ID: 2, Body: AppendDeltaBody(nil, maintain.Delta{Table: "sale"})},
 		{Kind: KindOK, ID: 3},
 	}
@@ -106,6 +107,34 @@ func TestResultBodyRoundTrip(t *testing.T) {
 	}
 }
 
+func TestVersionedQueryBodiesRoundTrip(t *testing.T) {
+	view, since, err := DecodeQueryBody(AppendQueryBody(nil, "product_sales", 1<<33))
+	if err != nil || view != "product_sales" || since != 1<<33 {
+		t.Fatalf("query body = %q, %d, %v", view, since, err)
+	}
+	if ver, err := DecodeUnchangedBody(AppendUnchangedBody(nil, 42)); err != nil || ver != 42 {
+		t.Fatalf("unchanged body = %d, %v", ver, err)
+	}
+	rel := &ra.Relation{Cols: ra.Schema{{Name: "a"}}, Rows: []tuple.Tuple{{types.Int(7)}}}
+	ver, rs, err := DecodeViewBody(AppendViewBody(nil, 9, rel))
+	if err != nil || ver != 9 || len(rs.Rows) != 1 || !types.Identical(rs.Rows[0][0], types.Int(7)) {
+		t.Fatalf("view body = %d, %v, %v", ver, rs, err)
+	}
+	// Every decoder consumes its input exactly, and a view always carries
+	// a relation.
+	for name, bad := range map[string]error{
+		"query trailing":     func() error { _, _, err := DecodeQueryBody(append(AppendQueryBody(nil, "v", 1), 0)); return err }(),
+		"query no version":   func() error { _, _, err := DecodeQueryBody(AppendStringBody(nil, "v")); return err }(),
+		"unchanged trailing": func() error { _, err := DecodeUnchangedBody([]byte{1, 0}); return err }(),
+		"unchanged empty":    func() error { _, err := DecodeUnchangedBody(nil); return err }(),
+		"view without rows":  func() error { _, _, err := DecodeViewBody(AppendViewBody(nil, 1, nil)); return err }(),
+	} {
+		if bad == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestBatchResultBodyRoundTrip(t *testing.T) {
 	in := []error{nil, errors.New("unknown table x"), nil}
 	out, err := DecodeBatchResultBody(AppendBatchResultBody(nil, in))
@@ -150,6 +179,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	})}))
 	f.Add(AppendFrame(nil, Frame{Kind: KindBatchResult, ID: 7,
 		Body: AppendBatchResultBody(nil, []error{nil, errors.New("e")})}))
+	f.Add(AppendFrame(nil, Frame{Kind: KindQuery, ID: 8, Body: AppendQueryBody(nil, "product_sales", 300)}))
+	f.Add(AppendFrame(nil, Frame{Kind: KindUnchanged, ID: 9, Body: AppendUnchangedBody(nil, 300)}))
+	f.Add(AppendFrame(nil, Frame{Kind: KindView, ID: 10, Body: AppendViewBody(nil, 301, &ra.Relation{
+		Cols: ra.Schema{{Table: "time", Name: "month"}, {Name: "total"}},
+		Rows: []tuple.Tuple{{types.Int(1), types.Float(2.5)}, {types.Int(2), types.Null}},
+	})}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, rest, err := DecodeFrame(data, 1<<20)
 		if err != nil {
@@ -168,7 +203,7 @@ func FuzzDecodeFrame(f *testing.F) {
 					t.Fatalf("hello re-encode mismatch")
 				}
 			}
-		case KindExec, KindQuery, KindError:
+		case KindExec, KindError:
 			if s, err := DecodeStringBody(fr.Body); err == nil {
 				if got := AppendStringBody(nil, s); !bytes.Equal(got, fr.Body) {
 					t.Fatalf("string body re-encode mismatch")
@@ -196,6 +231,24 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 				if got := AppendBatchResultBody(nil, errs); !bytes.Equal(got, fr.Body) {
 					t.Fatalf("batch result re-encode mismatch")
+				}
+			}
+		case KindQuery:
+			if view, since, err := DecodeQueryBody(fr.Body); err == nil {
+				if got := AppendQueryBody(nil, view, since); !bytes.Equal(got, fr.Body) {
+					t.Fatalf("query body re-encode mismatch")
+				}
+			}
+		case KindUnchanged:
+			if ver, err := DecodeUnchangedBody(fr.Body); err == nil {
+				if got := AppendUnchangedBody(nil, ver); !bytes.Equal(got, fr.Body) {
+					t.Fatalf("unchanged body re-encode mismatch")
+				}
+			}
+		case KindView:
+			if ver, _, err := DecodeViewBody(fr.Body); err == nil {
+				if got := binary.AppendUvarint(nil, ver); !bytes.HasPrefix(fr.Body, got) {
+					t.Fatalf("view version re-encode mismatch")
 				}
 			}
 		case KindResult:

@@ -12,7 +12,7 @@ import (
 
 // ProtocolVersion is negotiated in the Hello exchange; a mismatch is a
 // handshake error.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Body codecs. Every decoder consumes its input exactly: trailing bytes
 // are a protocol error, so a valid body has one unique encoding (the same
@@ -46,8 +46,8 @@ func DecodeHello(b []byte) (version uint64, secret string, err error) {
 	return version, secret, trailing(b)
 }
 
-// AppendStringBody encodes the single-string bodies (Exec SQL, Query view
-// name, Error message).
+// AppendStringBody encodes the single-string bodies (Exec SQL, Error
+// message).
 func AppendStringBody(dst []byte, s string) []byte { return wal.AppendString(dst, s) }
 
 // DecodeStringBody decodes a single-string body.
@@ -57,6 +57,61 @@ func DecodeStringBody(b []byte) (string, error) {
 		return "", err
 	}
 	return s, trailing(rest)
+}
+
+// AppendQueryBody encodes a KindQuery body: the view name, then the
+// version of it the client already holds (0 = none).
+func AppendQueryBody(dst []byte, view string, since uint64) []byte {
+	dst = wal.AppendString(dst, view)
+	return binary.AppendUvarint(dst, since)
+}
+
+// DecodeQueryBody decodes a KindQuery body.
+func DecodeQueryBody(b []byte) (view string, since uint64, err error) {
+	if view, b, err = wal.DecodeString(b); err != nil {
+		return "", 0, err
+	}
+	if since, b, err = wal.Uvarint(b); err != nil {
+		return "", 0, fmt.Errorf("wire: bad query version")
+	}
+	return view, since, trailing(b)
+}
+
+// AppendUnchangedBody encodes a KindUnchanged body: the version the client
+// named, which is still the view's.
+func AppendUnchangedBody(dst []byte, ver uint64) []byte { return binary.AppendUvarint(dst, ver) }
+
+// DecodeUnchangedBody decodes a KindUnchanged body.
+func DecodeUnchangedBody(b []byte) (uint64, error) {
+	ver, rest, err := wal.Uvarint(b)
+	if err != nil {
+		return 0, fmt.Errorf("wire: bad unchanged version")
+	}
+	return ver, trailing(rest)
+}
+
+// AppendViewBody encodes a KindView body: the view's version, then its
+// contents as a result body.
+func AppendViewBody(dst []byte, ver uint64, rel *ra.Relation) []byte {
+	dst = binary.AppendUvarint(dst, ver)
+	return AppendResultBody(dst, rel)
+}
+
+// DecodeViewBody decodes a KindView body; a view body always carries a
+// relation.
+func DecodeViewBody(b []byte) (uint64, *ResultSet, error) {
+	ver, b, err := wal.Uvarint(b)
+	if err != nil {
+		return 0, nil, fmt.Errorf("wire: bad view version")
+	}
+	rs, err := DecodeResultBody(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if rs == nil {
+		return 0, nil, fmt.Errorf("wire: view body without a result")
+	}
+	return ver, rs, nil
 }
 
 // AppendDeltaBody encodes a KindApply body.
@@ -97,14 +152,18 @@ func DecodeDeltaBatchBody(b []byte) ([]maintain.Delta, error) {
 
 // ResultSet is a decoded query result: qualified column names and rows.
 // It is the client-side shape of an ra.Relation without the server's
-// schema machinery.
+// schema machinery. The client caches the result sets its Query returns
+// and hands the same one out again while the view is unchanged, so they
+// are shared and read-only.
 type ResultSet struct {
 	Cols []string
 	Rows []tuple.Tuple
 }
 
 // AppendResultBody encodes a KindResult body: a presence flag (Exec
-// returns no relation for DDL/DML scripts), then columns and rows.
+// returns no relation for DDL/DML scripts), then columns and rows. It
+// appends to dst without sizing it first: servers pass a pooled buffer
+// (see Server) so a body grows once, not once per response.
 func AppendResultBody(dst []byte, rel *ra.Relation) []byte {
 	if rel == nil {
 		return append(dst, 0)

@@ -58,6 +58,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// bodyPool recycles response body buffers. A handler encodes its response
+// into one; the session writer puts it back once the frame is written, so a
+// steady stream of results reuses grown buffers instead of regrowing one
+// per response.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// response is a handler's answer and the pooled buffer its body came from.
+type response struct {
+	f   Frame
+	buf *[]byte
+}
+
 // Server is a concurrent TCP front end over one Warehouse. Reads (QUERY,
 // all-SELECT EXEC scripts) ride the warehouse's lock-free snapshot /
 // shared-lock paths and overlap freely; single-delta APPLY requests from
@@ -209,20 +221,26 @@ func (s *Server) session(conn net.Conn) {
 		return
 	}
 
-	writeCh := make(chan Frame, s.cfg.MaxInFlight)
+	writeCh := make(chan response, s.cfg.MaxInFlight)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		var buf []byte
 		var err error
 		broken := false
-		for f := range writeCh {
-			if broken {
-				continue // keep draining so handlers never block
+		for r := range writeCh {
+			// Keep draining after a write error so handlers never block.
+			if !broken {
+				if buf, err = WriteFrame(conn, buf, r.f); err != nil {
+					broken = true
+				}
 			}
-			if buf, err = WriteFrame(conn, buf, f); err != nil {
-				broken = true
+			// The body is dead once written; keep whichever buffer grew.
+			if cap(r.f.Body) > cap(*r.buf) {
+				*r.buf = r.f.Body
 			}
+			*r.buf = (*r.buf)[:0]
+			bodyPool.Put(r.buf)
 		}
 	}()
 
@@ -244,7 +262,8 @@ func (s *Server) session(conn net.Conn) {
 		go func(req Frame) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			writeCh <- s.handle(req)
+			buf := bodyPool.Get().(*[]byte)
+			writeCh <- response{s.handle(req, *buf), buf}
 		}(req)
 	}
 	handlers.Wait()
@@ -294,11 +313,16 @@ func (s *Server) handshake(conn net.Conn) error {
 	return conn.SetDeadline(time.Time{})
 }
 
-// handle executes one request and builds its response frame.
-func (s *Server) handle(req Frame) Frame {
+// handle executes one request and builds its response frame, encoding the
+// body onto dst. A response the client could not accept, its payload over
+// DefaultMaxFrame, becomes an error instead.
+func (s *Server) handle(req Frame, dst []byte) Frame {
 	start := time.Now()
 	s.requests.Inc()
-	resp := s.dispatch(req)
+	resp := s.dispatch(req, dst)
+	if payloadLen(resp) > DefaultMaxFrame {
+		resp = Frame{Kind: KindError, ID: req.ID, Body: AppendStringBody(nil, "wire: result exceeds frame limit")}
+	}
 	if resp.Kind == KindError {
 		s.requestErrs.Inc()
 	}
@@ -306,9 +330,9 @@ func (s *Server) handle(req Frame) Frame {
 	return resp
 }
 
-func (s *Server) dispatch(req Frame) Frame {
+func (s *Server) dispatch(req Frame, dst []byte) Frame {
 	fail := func(err error) Frame {
-		return Frame{Kind: KindError, ID: req.ID, Body: AppendStringBody(nil, err.Error())}
+		return Frame{Kind: KindError, ID: req.ID, Body: AppendStringBody(dst, err.Error())}
 	}
 	switch req.Kind {
 	case KindPing:
@@ -322,17 +346,20 @@ func (s *Server) dispatch(req Frame) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		return Frame{Kind: KindResult, ID: req.ID, Body: AppendResultBody(nil, rel)}
+		return Frame{Kind: KindResult, ID: req.ID, Body: AppendResultBody(dst, rel)}
 	case KindQuery:
-		view, err := DecodeStringBody(req.Body)
+		view, since, err := DecodeQueryBody(req.Body)
 		if err != nil {
 			return fail(err)
 		}
-		rel, err := s.w.Query(view)
+		rel, ver, err := s.w.QuerySince(view, since)
 		if err != nil {
 			return fail(err)
 		}
-		return Frame{Kind: KindResult, ID: req.ID, Body: AppendResultBody(nil, rel)}
+		if rel == nil {
+			return Frame{Kind: KindUnchanged, ID: req.ID, Body: AppendUnchangedBody(dst, ver)}
+		}
+		return Frame{Kind: KindView, ID: req.ID, Body: AppendViewBody(dst, ver, rel)}
 	case KindApply:
 		d, err := DecodeDeltaBody(req.Body)
 		if err != nil {
@@ -348,7 +375,7 @@ func (s *Server) dispatch(req Frame) Frame {
 			return fail(err)
 		}
 		errs := s.w.ApplyDeltaBatch(ds)
-		return Frame{Kind: KindBatchResult, ID: req.ID, Body: AppendBatchResultBody(nil, errs)}
+		return Frame{Kind: KindBatchResult, ID: req.ID, Body: AppendBatchResultBody(dst, errs)}
 	case KindMetrics:
 		data, err := s.w.MetricsSnapshot().MarshalJSONIndent()
 		if err != nil {

@@ -452,3 +452,40 @@ func TestServerClosedListener(t *testing.T) {
 		t.Log("close after dead listener returned nil (listener error already consumed)")
 	}
 }
+
+// TestOversizedResultAnsweredWithError: a result whose frame would exceed
+// the client's limit comes back as an error response, so the connection
+// stays at a frame boundary and keeps working.
+func TestOversizedResultAnsweredWithError(t *testing.T) {
+	w := warehouse.New()
+	if _, err := w.Exec(`CREATE TABLE blob (id INTEGER PRIMARY KEY, s VARCHAR)`); err != nil {
+		t.Fatal(err)
+	}
+	chunk := strings.Repeat("x", 1<<20)
+	for i := int64(0); i < 17; i++ {
+		if err := w.Source().Insert("blob", tuple.Tuple{types.Int(i), types.Str(chunk)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := startServer(t, w, wire.Config{})
+	c, err := wireclient.Dial(s.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`SELECT blob.id, blob.s FROM blob`); err == nil ||
+		!strings.Contains(err.Error(), "result exceeds frame limit") {
+		t.Fatalf("oversized result: err = %v", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping on the same client after an oversized result: %v", err)
+	}
+	fresh, err := wireclient.Dial(s.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if err := fresh.Ping(); err != nil {
+		t.Fatalf("ping on a fresh client: %v", err)
+	}
+}

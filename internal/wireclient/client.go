@@ -4,6 +4,12 @@
 // for concurrent use (calls serialize on the connection). For concurrent
 // load, open one Client per goroutine — connections are cheap and the
 // server's group-commit pipeline batches across them.
+//
+// A Client remembers the last result of every view it queried, with the
+// view's version, and asks the server only for what changed since: a
+// view still at that version is answered UNCHANGED and Query returns the
+// remembered result set again. Result sets are therefore shared and
+// read-only. The cache lives and dies with the connection.
 package wireclient
 
 import (
@@ -24,15 +30,26 @@ const DefaultDialTimeout = 10 * time.Second
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("wireclient: client closed")
 
-// Client is one authenticated wire-protocol session.
+// Client is one authenticated wire-protocol session. A transport or
+// framing error closes it: the stream can no longer be trusted to start at
+// a frame boundary, so every later call returns an error.
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	br     *bufio.Reader
 	wbuf   []byte
 	rbuf   []byte
+	body   []byte
 	nextID uint64
 	closed bool
+	views  map[string]cachedView
+}
+
+// cachedView is the last result of a view this client read, and the
+// version the server gave it.
+type cachedView struct {
+	ver uint64
+	rs  *wire.ResultSet
 }
 
 // Options tunes Dial. Response frames are bounded by wire.DefaultMaxFrame.
@@ -58,7 +75,7 @@ func DialOptions(addr, secret string, o Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn)}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), views: make(map[string]cachedView)}
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		conn.Close()
 		return nil, err
@@ -84,10 +101,11 @@ func DialOptions(addr, secret string, o Options) (*Client, error) {
 }
 
 // roundTrip sends one request frame and reads its response, matching the
-// request id. A KindError response becomes a Go error.
+// request id. A KindError response becomes a Go error. A transport or
+// framing error closes the client. Callers hold c.mu and decode the
+// response before releasing it: the body aliases c.rbuf, which the next
+// round trip overwrites.
 func (c *Client) roundTrip(kind wire.Kind, body []byte) (wire.Frame, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
 		return wire.Frame{}, ErrClosed
 	}
@@ -95,18 +113,14 @@ func (c *Client) roundTrip(kind wire.Kind, body []byte) (wire.Frame, error) {
 	c.nextID++
 	var err error
 	if c.wbuf, err = wire.WriteFrame(c.conn, c.wbuf, wire.Frame{Kind: kind, ID: id, Body: body}); err != nil {
-		return wire.Frame{}, err
+		return wire.Frame{}, c.fail(err)
 	}
 	var resp wire.Frame
 	if resp, c.rbuf, err = wire.ReadFrame(c.br, c.rbuf, 0); err != nil {
-		return wire.Frame{}, err
+		return wire.Frame{}, c.fail(err)
 	}
-	// The body aliases the reusable read buffer; copy it out so callers may
-	// decode after the mutex is released (another goroutine could already
-	// be reusing the buffer for its own response).
-	resp.Body = append([]byte(nil), resp.Body...)
 	if resp.ID != id {
-		return wire.Frame{}, fmt.Errorf("wireclient: response id %d for request %d", resp.ID, id)
+		return wire.Frame{}, c.fail(fmt.Errorf("wireclient: response id %d for request %d", resp.ID, id))
 	}
 	if resp.Kind == wire.KindError {
 		msg, derr := wire.DecodeStringBody(resp.Body)
@@ -118,8 +132,19 @@ func (c *Client) roundTrip(kind wire.Kind, body []byte) (wire.Frame, error) {
 	return resp, nil
 }
 
+// fail closes the client after a transport or framing error and returns
+// the error. Callers hold c.mu.
+func (c *Client) fail(err error) error {
+	c.closed = true
+	c.views = nil
+	c.conn.Close()
+	return err
+}
+
 // Ping checks server liveness.
 func (c *Client) Ping() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	resp, err := c.roundTrip(wire.KindPing, nil)
 	if err != nil {
 		return err
@@ -135,6 +160,8 @@ func (c *Client) Ping() error {
 // All-SELECT scripts run on the server's shared-lock read path and
 // overlap with other readers.
 func (c *Client) Exec(sql string) (*wire.ResultSet, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	resp, err := c.roundTrip(wire.KindExec, wire.AppendStringBody(nil, sql))
 	if err != nil {
 		return nil, err
@@ -146,23 +173,47 @@ func (c *Client) Exec(sql string) (*wire.ResultSet, error) {
 }
 
 // Query reads a materialized view through the server's lock-free snapshot
-// path.
+// path. While the view is at the version this client last read, the server
+// answers UNCHANGED and Query returns the same result set as last time:
+// treat it as read-only.
 func (c *Client) Query(view string) (*wire.ResultSet, error) {
-	resp, err := c.roundTrip(wire.KindQuery, wire.AppendStringBody(nil, view))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := c.views[view]
+	c.body = wire.AppendQueryBody(c.body[:0], view, held.ver)
+	resp, err := c.roundTrip(wire.KindQuery, c.body)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Kind != wire.KindResult {
-		return nil, fmt.Errorf("wireclient: unexpected %s response to query", resp.Kind)
+	switch resp.Kind {
+	case wire.KindUnchanged:
+		ver, err := wire.DecodeUnchangedBody(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		if held.rs == nil || ver != held.ver {
+			return nil, fmt.Errorf("wireclient: %s unchanged at version %d, but version %d is held", view, ver, held.ver)
+		}
+		return held.rs, nil
+	case wire.KindView:
+		ver, rs, err := wire.DecodeViewBody(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		c.views[view] = cachedView{ver: ver, rs: rs}
+		return rs, nil
 	}
-	return wire.DecodeResultBody(resp.Body)
+	return nil, fmt.Errorf("wireclient: unexpected %s response to query", resp.Kind)
 }
 
 // ApplyDelta applies one externally produced delta through the server's
 // group-commit pipeline; it returns once the delta's outcome is known
 // (committed across every view, durable per the server's WAL policy).
 func (c *Client) ApplyDelta(d maintain.Delta) error {
-	resp, err := c.roundTrip(wire.KindApply, wire.AppendDeltaBody(nil, d))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.body = wire.AppendDeltaBody(c.body[:0], d)
+	resp, err := c.roundTrip(wire.KindApply, c.body)
 	if err != nil {
 		return err
 	}
@@ -177,6 +228,8 @@ func (c *Client) ApplyDelta(d maintain.Delta) error {
 // delta: nil when it committed, its error otherwise (the batch is a queue
 // drain, not a transaction — later members still apply after a failure).
 func (c *Client) ApplyDeltaBatch(ds []maintain.Delta) ([]error, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	resp, err := c.roundTrip(wire.KindApplyBatch, wire.AppendDeltaBatchBody(nil, ds))
 	if err != nil {
 		return nil, err
@@ -202,6 +255,8 @@ func (c *Client) ApplyDeltaBatch(ds []maintain.Delta) ([]error, error) {
 
 // Metrics fetches the server's observability snapshot as JSON.
 func (c *Client) Metrics() ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	resp, err := c.roundTrip(wire.KindMetrics, nil)
 	if err != nil {
 		return nil, err
@@ -209,7 +264,7 @@ func (c *Client) Metrics() ([]byte, error) {
 	if resp.Kind != wire.KindMetricsResult {
 		return nil, fmt.Errorf("wireclient: unexpected %s response to metrics", resp.Kind)
 	}
-	return resp.Body, nil
+	return append([]byte(nil), resp.Body...), nil
 }
 
 // Close tears down the connection. Safe to call twice.
@@ -220,5 +275,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.views = nil
 	return c.conn.Close()
 }

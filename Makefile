@@ -29,12 +29,11 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrent layers: the maintenance engine (the staging
-# coordinator, shared-class staging over one set of tables), the warehouse
-# (propagation, lock-free reads, online backfill, the group-commit batch
-# pipeline), the write-ahead log (group committer), the lock-free
-# observability primitives, the wire server (concurrent sessions, admission
-# control, disconnect drain), and the pager (buffer-pool pin/unpin and
-# eviction under shared stores).
+# coordinator), the warehouse (propagation, lock-free reads, online
+# backfill, the group-commit batch pipeline), the write-ahead log, the
+# lock-free observability primitives, the wire server (concurrent sessions,
+# admission control, disconnect drain), and the pager (buffer-pool
+# pin/unpin and eviction under shared stores).
 #
 # The staging pool is GOMAXPROCS wide, so the coordinator's two sides —
 # inline serial staging and fanned-out staging — depend on the runner's

@@ -106,8 +106,8 @@ func benchBatchPropagate(depth int) (testing.BenchmarkResult, error) {
 }
 
 // benchWALAppendSyncCommit measures the single-stream durable commit path:
-// one intent + one commit with its own fsync per op. This is the
-// comparator the group-commit throughput is judged against.
+// one intent + one commit with its own fsync per op: the per-delta fsync
+// cost the batch pipeline amortizes.
 func benchWALAppendSyncCommit() (testing.BenchmarkResult, error) {
 	dir, err := os.MkdirTemp("", "walsynccommit")
 	if err != nil {
@@ -139,48 +139,8 @@ func benchWALAppendSyncCommit() (testing.BenchmarkResult, error) {
 	return r, benchErr
 }
 
-// benchWALGroupCommit measures the same durable commit through a
-// GroupCommitter under concurrent writers: each op is still one intent +
-// one durably committed outcome, but the fsync is shared by whatever batch
-// the writer lands in (depth ≥ 16 by construction of the parallelism).
-func benchWALGroupCommit() (testing.BenchmarkResult, error) {
-	dir, err := os.MkdirTemp("", "walgroupcommit")
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	l, err := wal.OpenLog(filepath.Join(dir, "wal.log"), wal.SyncCommit)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer l.Close()
-	g := wal.NewGroupCommitter(l, wal.DefaultGroupCommitDepth)
-	defer g.Close()
-	d := maintain.Delta{Table: "sale", Inserts: []tuple.Tuple{
-		{types.Int(1), types.Int(12), types.Int(307), types.Int(4), types.Float(19.75)},
-	}}
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetParallelism(64) // 64 writers per GOMAXPROCS: batch depth ≥ 16
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				lsn, err := l.BeginDelta(d, true)
-				if err == nil {
-					err = g.Commit(lsn)
-				}
-				if err != nil {
-					benchErr = err
-					b.Fatal(err)
-				}
-			}
-		})
-	})
-	return r, benchErr
-}
-
 // runBatchBenches measures the batch-propagation depth curve and the
-// group-commit throughput pair for the JSON report.
+// single-stream commit cost for the JSON report.
 func runBatchBenches() ([]benchResult, error) {
 	var results []benchResult
 	for _, depth := range []int{1, 2, 4, 8} {
@@ -195,10 +155,5 @@ func runBatchBenches() ([]benchResult, error) {
 		return nil, err
 	}
 	results = append(results, toResult("WALAppendSyncCommit", single))
-	group, err := benchWALGroupCommit()
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, toResult("WALGroupCommitThroughput", group))
 	return results, nil
 }

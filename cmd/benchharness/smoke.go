@@ -30,7 +30,6 @@ func smokeGateNames() []string {
 		"BatchPropagate2",
 		"BatchPropagate4",
 		"BatchPropagate8",
-		"WALGroupCommitThroughput",
 		"ServerQPS",
 		"OutOfCoreMaintain/memory",
 		"OutOfCoreMaintain/paged",
@@ -139,9 +138,8 @@ func smokeSubset() ([]benchResult, error) {
 	}
 	results = append(results, walBenches...)
 
-	// The batch write pipeline: batch depths 2/4/8 and the group-commit
-	// throughput, so a regression in coalescing or fsync batching fails the
-	// gate.
+	// The batch write pipeline: batch depths 2/4/8, so a regression in
+	// coalescing or fsync batching fails the gate.
 	for _, depth := range []int{2, 4, 8} {
 		r, err := benchBatchPropagate(depth)
 		if err != nil {
@@ -149,11 +147,6 @@ func smokeSubset() ([]benchResult, error) {
 		}
 		results = append(results, toResult(fmt.Sprintf("BatchPropagate%d", depth), r))
 	}
-	group, err := benchWALGroupCommit()
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, toResult("WALGroupCommitThroughput", group))
 
 	// The wire serve path: 1k concurrent sessions of mixed reads and
 	// group-committed applies, so a regression in framing, session

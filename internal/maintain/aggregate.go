@@ -320,24 +320,15 @@ func (e *Engine) reaggregate(keys groupSet) ([]groupRow, error) {
 	return e.agg.finish()
 }
 
-// walkSeeds walks every seed row that passes the start table's residual
-// conditions and, when allowed is set, whose projection onto ownPos is in
-// it. A compressed (root) seed row carries its own multiplicity.
+// walkSeeds walks every seed row or, when allowed is set, every seed row
+// whose projection onto ownPos is in it. A compressed (root) seed row
+// carries its own multiplicity.
 func (e *Engine) walkSeeds(p *detailPlan, seeds []tuple.Tuple, ownPos []int, allowed map[string]bool) error {
 	for _, r := range seeds {
 		if allowed != nil {
 			// The seed probe is done with its key buffer; keyBuf is the caller's.
 			e.seedLk.key = r.AppendKeyAt(e.seedLk.key[:0], ownPos)
 			if !allowed[string(e.seedLk.key)] {
-				continue
-			}
-		}
-		if p.startResidual != nil {
-			ok, err := p.startResidual(r)
-			if err != nil {
-				return err
-			}
-			if !ok {
 				continue
 			}
 		}

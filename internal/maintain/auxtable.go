@@ -37,26 +37,25 @@ type AuxTable struct {
 	// per-row index maintenance needs no schema scan.
 	idxPos map[string]int
 
-	// probeBuf and lookupBuf are scratch buffers for index probes: value
-	// keys are encoded into probeBuf (no-allocation map lookups) and
-	// Lookup results are assembled in lookupBuf, which is reused by the
-	// next call. AuxTable is not safe for concurrent use.
-	probeBuf  []byte
-	lookupBuf []tuple.Tuple
+	// probeBuf is the scratch buffer group and index keys are encoded into
+	// (no-allocation map lookups) while Adjust maintains the table. Probes
+	// bring their own buffers (lookupInto). AuxTable is not safe for
+	// concurrent writes.
+	probeBuf []byte
 
 	// jnl, when non-nil, receives the prior image of every group Adjust
-	// mutates (set by the owning engine or shared coordinator); fi is the
+	// mutates (set by the owning engine, the table's only writer); fi is the
 	// fault-injection hook (nil in production).
 	jnl *journal
 	fi  *faultinject.Hook
 
-	// readErr records the first store read failure seen by Lookup and its
-	// buffer-reuse variants, which have no error return of their own. A
+	// readErr records the first store read failure seen by lookupInto,
+	// scanInto and Relation, which have no error return of their own. A
 	// failed read during staging would otherwise silently drop rows from a
 	// scoped recomputation; the engine drains this after applying a delta
-	// and rolls back if a read failed. Guarded by a mutex because the
-	// engines of a shared class stage in parallel and probe one table from
-	// several goroutines.
+	// and rolls back if a read failed. Guarded by a mutex because reads are
+	// concurrent: detached ad-hoc queries call Relation from several
+	// sessions at once under the warehouse read lock.
 	readErrMu sync.Mutex
 	readErr   error
 }
@@ -132,9 +131,6 @@ func NewAuxTable(def *core.AuxView) (*AuxTable, error) {
 	}
 	return t, nil
 }
-
-// Def returns the auxiliary view definition.
-func (t *AuxTable) Def() *core.AuxView { return t.def }
 
 // aggPos maps base attributes to the column holding their SUM, MIN or MAX
 // in a compressed view (nil for any other function).
@@ -282,47 +278,11 @@ func (t *AuxTable) Load(rel *ra.Relation) error {
 	return nil
 }
 
-// Lookup returns the rows whose plain attribute equals v, using an index
-// when available. The returned slice is a scratch buffer owned by the
-// table and is only valid until the next Lookup call; the tuples in it
-// must not be mutated.
-func (t *AuxTable) Lookup(attr string, v types.Value) []tuple.Tuple {
-	if m, ok := t.idx[attr]; ok {
-		t.probeBuf = types.Encode(t.probeBuf[:0], v)
-		keys := m[string(t.probeBuf)]
-		out := t.lookupBuf[:0]
-		for _, k := range keys {
-			r, ok, err := t.store.GetString(k)
-			if err != nil {
-				t.noteReadErr(err)
-			} else if ok {
-				out = append(out, r)
-			}
-		}
-		t.lookupBuf = out
-		return out
-	}
-	pos, err := t.cols.Index(t.def.Base, attr)
-	if err != nil {
-		return nil
-	}
-	var out []tuple.Tuple
-	t.noteReadErr(t.store.Scan(func(_ string, r tuple.Tuple) error {
-		if types.Identical(r[pos], v) {
-			out = append(out, r)
-		}
-		return nil
-	}))
-	return out
-}
-
-// lookupInto is Lookup with caller-owned scratch: the probe key is encoded
-// into keyBuf and the matching rows are appended to out; both are returned
-// for reuse. Unlike Lookup it performs no writes to table state, so
-// concurrent calls with distinct buffers against a quiescent table are safe
-// — the property the parallel staged-apply scheduler relies on when several
-// engines of one shared class read the same tables. The returned tuples are
-// the stored rows and must not be mutated.
+// lookupInto appends the rows whose plain attribute equals v to out, using
+// an index when available. The probe key is encoded into the caller-owned
+// keyBuf; both are returned for reuse. It writes no table state (beyond a
+// read failure note), so the rows of one probe survive the next. The
+// returned tuples are the stored rows and must not be mutated.
 func (t *AuxTable) lookupInto(attr string, v types.Value, out []tuple.Tuple, keyBuf []byte) ([]tuple.Tuple, []byte) {
 	m, ok := t.idx[attr]
 	if !ok {
@@ -357,8 +317,9 @@ func (t *AuxTable) scanInto(attr string, v types.Value, out []tuple.Tuple) []tup
 	return out
 }
 
-// containsWith is Contains with a caller-owned key buffer (read-only on
-// table state, like lookupInto).
+// containsWith reports whether some row has the given value in attr — the
+// semijoin membership test, a single map probe with an index. The key is
+// encoded into the caller-owned keyBuf, as in lookupInto.
 func (t *AuxTable) containsWith(attr string, v types.Value, keyBuf []byte) (bool, []byte) {
 	if m, ok := t.idx[attr]; ok {
 		keyBuf = types.Encode(keyBuf, v)
@@ -367,16 +328,6 @@ func (t *AuxTable) containsWith(attr string, v types.Value, keyBuf []byte) (bool
 	var rows []tuple.Tuple
 	rows, keyBuf = t.lookupInto(attr, v, nil, keyBuf)
 	return len(rows) > 0, keyBuf
-}
-
-// Contains reports whether some row has the given value in attr — the
-// semijoin membership test. With an index it is a single map probe.
-func (t *AuxTable) Contains(attr string, v types.Value) bool {
-	if m, ok := t.idx[attr]; ok {
-		t.probeBuf = types.Encode(t.probeBuf[:0], v)
-		return len(m[string(t.probeBuf)]) > 0
-	}
-	return len(t.Lookup(attr, v)) > 0
 }
 
 // Adjust applies one signed base-row contribution to the table: plainVals

@@ -10,14 +10,12 @@ import (
 
 // Propagate applies one delta to a set of engines as one transaction: every
 // engine stages it, and either all commit or none does. It is the single
-// stage/commit/rollback loop behind Warehouse.propagate and
-// SharedEngines.Apply.
+// stage/commit/rollback loop, behind Warehouse.propagate.
 //
 // Engines stage on a pool of min(GOMAXPROCS, len(engines)) workers; with
 // one worker they stage inline, in order, and the first failure stops the
-// loop. Staging fans out safely because each engine journals only its own
-// state and probes its auxiliary tables through private scratch; shared
-// tables are quiescent while engines stage (see SharedEngines.Apply).
+// loop. Staging fans out safely because every auxiliary table is owned by
+// exactly one engine, which journals only its own state.
 //
 // before, when non-nil, runs on the calling goroutine ahead of engine i's
 // staging, in engine order; an error from it fails the apply and launches

@@ -3,9 +3,7 @@ package maintain
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -26,50 +24,6 @@ func setProcs(t *testing.T, n int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// relBytes renders a relation as its sorted encoded rows — a byte-for-byte
-// canonical form (relations are bags, so physical row order is irrelevant).
-func relBytes(r *ra.Relation) []string {
-	keys := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		keys[i] = row.Key()
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// requireIdenticalState asserts two engines hold byte-identical materialized
-// views and auxiliary tables.
-func requireIdenticalState(t *testing.T, a, b *Engine, tables []string, when string) {
-	t.Helper()
-	ka, kb := relBytes(a.Snapshot()), relBytes(b.Snapshot())
-	if len(ka) != len(kb) {
-		t.Fatalf("%s: snapshots differ in size: %d vs %d", when, len(ka), len(kb))
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("%s: snapshots diverge at sorted row %d", when, i)
-		}
-	}
-	for _, tb := range tables {
-		ta, tbl := a.Aux(tb), b.Aux(tb)
-		if (ta == nil) != (tbl == nil) {
-			t.Fatalf("%s: aux %s present in one engine only", when, tb)
-		}
-		if ta == nil {
-			continue
-		}
-		ra, rb := relBytes(ta.Relation()), relBytes(tbl.Relation())
-		if len(ra) != len(rb) {
-			t.Fatalf("%s: aux %s differs in size: %d vs %d", when, tb, len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i] != rb[i] {
-				t.Fatalf("%s: aux %s diverges at sorted row %d", when, tb, i)
-			}
-		}
-	}
 }
 
 // namedEngine builds one engine for view name over the fixture's sources,
@@ -182,81 +136,6 @@ func TestPropagateContract(t *testing.T) {
 	for i, e := range engines {
 		if got := e.Snapshot(); !ra.EqualBag(got, want) {
 			t.Fatalf("engine %d diverged after commit\nmaintained:\n%s\nrecomputed:\n%s", i, got.Format(), want.Format())
-		}
-	}
-}
-
-// TestSharedEnginesParallelMatchesSerial: a shared class staging on a
-// four-wide pool must end byte-identical to a twin staging serially
-// (GOMAXPROCS 1) under the same stream, and the fanned-out class is checked
-// against recomputation after every delta.
-func TestSharedEnginesParallelMatchesSerial(t *testing.T) {
-	sqls := []string{
-		`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt
-		 FROM sale, time WHERE time.year = 1997 AND sale.timeid = time.id
-		 GROUP BY time.month`,
-		`SELECT sale.storeid, MAX(price) AS hi, COUNT(*) AS cnt
-		 FROM sale GROUP BY sale.storeid`,
-		`SELECT store.city, COUNT(DISTINCT brand) AS brands, SUM(price) AS total
-		 FROM sale, product, store
-		 WHERE sale.productid = product.id AND sale.storeid = store.id
-		 GROUP BY store.city`,
-	}
-	setProcs(t, 4)
-	par := newSharedFixture(t, sqls...)
-	ser := newSharedFixture(t, sqls...)
-	par.seedRetail()
-	ser.seedRetail()
-	par.init()
-	ser.init()
-
-	rng := rand.New(rand.NewSource(23))
-	live := []int64{1, 2, 3, 4, 5, 6}
-	for step := 0; step < 50; step++ {
-		var d Delta
-		switch rng.Intn(4) {
-		case 0, 1:
-			par.saleID++
-			row := tuple.Tuple{types.Int(par.saleID), types.Int(int64(rng.Intn(6) + 1)),
-				types.Int(int64(rng.Intn(3) + 100)), types.Int(int64(rng.Intn(2) + 7)),
-				types.Float(float64(rng.Intn(60)) + 0.5)}
-			if err := par.db.Insert("sale", row); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, par.saleID)
-			d = Delta{Table: "sale", Inserts: []tuple.Tuple{row}}
-		case 2:
-			if len(live) == 0 {
-				continue
-			}
-			i := rng.Intn(len(live))
-			row, err := par.db.Delete("sale", types.Int(live[i]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:i], live[i+1:]...)
-			d = Delta{Table: "sale", Deletes: []tuple.Tuple{row}}
-		default:
-			if len(live) == 0 {
-				continue
-			}
-			i := rng.Intn(len(live))
-			old, upd, err := par.db.Update("sale", types.Int(live[i]),
-				map[string]types.Value{"price": types.Float(float64(rng.Intn(80)) + 0.25)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d = Delta{Table: "sale", Updates: []Update{{Old: old, New: upd}}}
-		}
-		runtime.GOMAXPROCS(4)
-		par.apply(d) // checks every view against recomputation
-		runtime.GOMAXPROCS(1)
-		if err := ser.se.Apply(d); err != nil {
-			t.Fatalf("serial step %d: %v", step, err)
-		}
-		for i := range sqls {
-			requireIdenticalState(t, par.se.Engine(i), ser.se.Engine(i),
-				par.views[i].Tables, fmt.Sprintf("step %d, view %d", step, i))
 		}
 	}
 }

@@ -111,15 +111,6 @@ type Engine struct {
 	// in delta joins to decide view membership.
 	filtering map[string]bool
 
-	// residual maps tables to local conditions of this view that its
-	// (shared) auxiliary views do not enforce; delta joins and partial
-	// recomputation re-apply them (shared-plan mode, Section 4 classes).
-	residual map[string][]ra.Comparison
-
-	// skipAux suppresses auxiliary-table maintenance in Apply: a shared
-	// coordinator maintains the tables once for all views.
-	skipAux bool
-
 	// tableSet is view.Tables as a set: Apply-path membership tests are
 	// O(1) instead of a per-delta slice scan.
 	tableSet map[string]bool
@@ -138,9 +129,9 @@ type Engine struct {
 
 	// Scratch reused across Apply calls (the engine is not safe for
 	// concurrent Apply, so a single set suffices). lkKeyBuf, walker, seedLk
-	// and agg are the engine's private probe and aggregation scratch:
-	// engines of a shared class probe the same tables concurrently during
-	// parallel staging, so probes must never touch the tables' own buffers.
+	// and agg are the engine's private probe and aggregation scratch: a
+	// probe's rows must outlive the deeper probes of the same walk, so each
+	// probe brings its own buffers rather than borrowing the table's.
 	keyBuf    []byte
 	plainBuf  tuple.Tuple
 	sumDeltaC map[string]types.Value
@@ -185,34 +176,14 @@ type auxApplyPlan struct {
 // stored attribute missing from its schema, an unindexable key) surfaces as
 // a returned error, never a panic.
 func NewEngine(plan *core.Plan) (*Engine, error) {
-	tables := make(map[string]*AuxTable)
-	for t, def := range plan.Aux {
-		if def.Omitted {
-			continue
-		}
-		at, err := NewAuxTable(def)
-		if err != nil {
-			return nil, fmt.Errorf("maintain: auxiliary table for %s: %w", t, err)
-		}
-		tables[t] = at
-	}
-	return newEngine(plan, tables, nil, false)
-}
-
-// newEngine wires an engine over the given auxiliary tables. With shared
-// tables, residual carries the view's unenforced local conditions and
-// skipAux leaves table maintenance to the coordinator.
-func newEngine(plan *core.Plan, tables map[string]*AuxTable, residual map[string][]ra.Comparison, skipAux bool) (*Engine, error) {
 	e := &Engine{
 		plan:        plan,
 		view:        plan.View,
 		graph:       plan.Graph,
-		aux:         tables,
+		aux:         make(map[string]*AuxTable),
 		mv:          NewMaterializedView(plan.View),
 		UseNeedSets: true,
 		filtering:   make(map[string]bool),
-		residual:    residual,
-		skipAux:     skipAux,
 		tableSet:    make(map[string]bool, len(plan.View.Tables)),
 		baseColsC:   make(map[string]ra.Schema),
 		relPosC:     make(map[string][]int),
@@ -224,12 +195,17 @@ func newEngine(plan *core.Plan, tables map[string]*AuxTable, residual map[string
 	for _, t := range plan.View.Tables {
 		e.tableSet[t] = true
 	}
-	if !skipAux {
-		// Exclusive tables journal into this engine's undo log; shared
-		// tables are journaled by their coordinator (SharedEngines).
-		for _, at := range e.aux {
-			at.jnl = &e.jnl
+	// The engine owns its auxiliary tables: each journals into its undo log.
+	for t, def := range plan.Aux {
+		if def.Omitted {
+			continue
 		}
+		at, err := NewAuxTable(def)
+		if err != nil {
+			return nil, fmt.Errorf("maintain: auxiliary table for %s: %w", t, err)
+		}
+		at.jnl = &e.jnl
+		e.aux[t] = at
 	}
 	// Indexes: each table's key (semijoin membership and downward joins),
 	// and each referencing attribute (upward joins).
@@ -252,7 +228,7 @@ func newEngine(plan *core.Plan, tables map[string]*AuxTable, residual map[string
 	// Filtering analysis, bottom-up.
 	var filt func(t string) bool
 	filt = func(t string) bool {
-		f := len(e.view.Local[t]) > 0 || len(e.residual[t]) > 0
+		f := len(e.view.Local[t]) > 0
 		if j, ok := e.graph.EdgeTo[t]; ok {
 			if !e.view.Catalog().HasRI(j.Left, j.LeftAttr, j.Right) {
 				f = true
@@ -461,12 +437,9 @@ func (e *Engine) stage(d Delta) error {
 		return err
 	}
 	if err := e.auxReadErr(); err != nil {
-		// Lookup and its buffer-reuse variants have no error return; a
-		// store read that failed mid-apply silently dropped rows from the
-		// scoped recomputation, so the staged result cannot be trusted.
-		// For shared tables the note may belong to a concurrently staging
-		// engine of the same class — failing here is still sound, because
-		// one failed engine aborts (and rolls back) the whole propagation.
+		// Index probes and scans have no error return; a store read that
+		// failed mid-apply silently dropped rows from the scoped
+		// recomputation, so the staged result cannot be trusted.
 		e.rollbackJournal(err)
 		return err
 	}
@@ -513,12 +486,8 @@ func (e *Engine) Rollback() {
 // SetAuxStores swaps every auxiliary table's row storage through a factory
 // keyed by base table (see AuxStore; internal/pager provides the paged
 // backend). Existing rows migrate, so it may be called before or after
-// Init. Engines of a shared class do not own their tables and reject the
-// call — swap through the coordinator instead.
+// Init.
 func (e *Engine) SetAuxStores(factory func(table string) (AuxStore, error)) error {
-	if e.skipAux {
-		return fmt.Errorf("maintain: engine %s shares its auxiliary tables; set stores on the coordinator", e.view.Name)
-	}
 	for t, at := range e.aux {
 		s, err := factory(t)
 		if err != nil {
@@ -536,9 +505,6 @@ func (e *Engine) SetAuxStores(factory func(table string) (AuxStore, error)) erro
 // The engine must not be used afterwards.
 func (e *Engine) Close() error {
 	var first error
-	if e.skipAux {
-		return nil // shared tables are closed by their coordinator
-	}
 	for _, at := range e.aux {
 		if err := at.store.Close(); err != nil && first == nil {
 			first = err
@@ -548,13 +514,9 @@ func (e *Engine) Close() error {
 }
 
 // SetFaultHook installs (nil removes) a fault-injection hook on the engine
-// and its exclusively-owned auxiliary tables. Shared tables are hooked by
-// their coordinator. Not safe concurrently with Apply; tests only.
+// and its auxiliary tables. Not safe concurrently with Apply; tests only.
 func (e *Engine) SetFaultHook(h *faultinject.Hook) {
 	e.fi = h
-	if e.skipAux {
-		return
-	}
 	for _, at := range e.aux {
 		at.fi = h
 		// Out-of-core stores carry their own injection points (eviction,
@@ -568,7 +530,7 @@ func (e *Engine) SetFaultHook(h *faultinject.Hook) {
 // applyMutations is the mutation region of one apply: everything it
 // touches is journaled, and the caller rolls the journal back on error.
 func (e *Engine) applyMutations(t string, d Delta, signed []signedRow) error {
-	if at := e.aux[t]; at != nil && !e.skipAux {
+	if at := e.aux[t]; at != nil {
 		if err := e.auxApply(at, signed); err != nil {
 			return err
 		}
@@ -580,9 +542,11 @@ func (e *Engine) applyMutations(t string, d Delta, signed []signedRow) error {
 }
 
 // expand normalizes a delta into signed full rows: updates become a
-// deletion of the old image and an insertion of the new one. Update pairs
-// whose images agree on every attribute relevant to the view (preserved or
-// condition attributes) are dropped as no-ops.
+// deletion of the old image and an insertion of the new one. An update
+// must keep its primary key (as storage.DB.Update does); one that changes
+// it is rejected. Update pairs whose images agree on every attribute
+// relevant to the view (preserved or condition attributes) are dropped as
+// no-ops.
 func (e *Engine) expand(d Delta) ([]signedRow, error) {
 	meta := e.view.Catalog().Table(d.Table)
 	check := func(row tuple.Tuple) error {
@@ -592,6 +556,7 @@ func (e *Engine) expand(d Delta) ([]signedRow, error) {
 		return nil
 	}
 	relevantPos := e.relevantPosFor(d.Table)
+	keyPos := meta.KeyIndex()
 
 	out := make([]signedRow, 0, len(d.Deletes)+2*len(d.Updates)+len(d.Inserts))
 	for _, r := range d.Deletes {
@@ -606,6 +571,10 @@ func (e *Engine) expand(d Delta) ([]signedRow, error) {
 		}
 		if err := check(u.New); err != nil {
 			return nil, err
+		}
+		if !types.Identical(u.Old[keyPos], u.New[keyPos]) {
+			return nil, fmt.Errorf("maintain: update to %s changes its key %s from %v to %v",
+				d.Table, meta.Key, u.Old[keyPos], u.New[keyPos])
 		}
 		same := true
 		for _, p := range relevantPos {
@@ -921,36 +890,6 @@ func (e *Engine) rekey(t string, updates []Update) error {
 			e.jnl.noteMVKey(e.mv, nk)
 			e.mv.rows[nk] = row
 			e.stats.groupAdjusts.Add(1)
-		}
-	}
-	return nil
-}
-
-// prepareSharedIndexes eagerly builds every auxiliary index the maintenance
-// paths would otherwise create lazily (the compiled plans' join-edge indexes
-// and the scoped seed index). Engines of a shared class stage in parallel
-// over the same auxiliary tables, and EnsureIndex mutates the table, so the
-// coordinator calls this once per engine before any concurrent staging;
-// afterwards every probe is a read.
-func (e *Engine) prepareSharedIndexes() error {
-	for t, at := range e.aux {
-		if j, ok := e.graph.EdgeTo[t]; ok && contains(at.def.PlainAttrs, j.RightAttr) {
-			if err := at.EnsureIndex(j.RightAttr); err != nil {
-				return err
-			}
-		}
-	}
-	for _, ci := range e.mv.gbIdx {
-		cr, ok := e.mv.comps[ci].item.Expr.(ra.ColRef)
-		if !ok {
-			continue
-		}
-		at := e.aux[cr.Table]
-		if at == nil || !contains(at.def.PlainAttrs, cr.Name) {
-			continue
-		}
-		if err := at.EnsureIndex(cr.Name); err != nil {
-			return err
 		}
 	}
 	return nil

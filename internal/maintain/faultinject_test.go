@@ -200,119 +200,6 @@ func TestFaultInjectionAppendOnly(t *testing.T) {
 	}
 }
 
-// sweepShared is sweepApply for a SharedEngines coordinator: after every
-// injected failure, every view's snapshot and the shared auxiliary tables
-// must be bit-identical to their pre-delta state.
-func sweepShared(t *testing.T, f *sharedFixture, d Delta) {
-	t.Helper()
-	var tables [][]string
-	for i := range f.views {
-		tables = append(tables, f.views[i].Tables)
-	}
-	const limit = 100000
-	for failAt := int64(1); failAt <= limit; failAt++ {
-		var before []engineCapture
-		for i := range f.views {
-			before = append(before, captureEngine(f.se.Engine(i), tables[i]))
-		}
-		h := faultinject.NewHook(failAt)
-		f.se.SetFaultHook(h)
-		err := f.se.Apply(d)
-		f.se.SetFaultHook(nil)
-		if err == nil {
-			if p, fired := h.Fired(); fired {
-				t.Fatalf("hook fired at %s but Apply succeeded", p)
-			}
-			f.check(fmt.Sprintf("after swept delta on %s", d.Table))
-			return
-		}
-		if !errors.Is(err, faultinject.ErrInjected) {
-			t.Fatalf("failAt=%d: apply failed with a genuine error: %v", failAt, err)
-		}
-		p, _ := h.Fired()
-		for i := range f.views {
-			before[i].requireUnchanged(t, f.se.Engine(i), tables[i],
-				fmt.Sprintf("view %d, failAt=%d (%s)", i, failAt, p))
-		}
-	}
-	t.Fatalf("sweep did not terminate within %d injection points", limit)
-}
-
-// TestFaultInjectionSharedEngines asserts class-wide atomicity: a failure
-// in any view of a shared class rolls back the shared auxiliary tables and
-// every already-applied sibling view.
-func TestFaultInjectionSharedEngines(t *testing.T) {
-	f := newSharedFixture(t,
-		`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt
-		 FROM sale, time WHERE time.year = 1997 AND sale.timeid = time.id
-		 GROUP BY time.month`,
-		`SELECT sale.storeid, MAX(price) AS hi, COUNT(*) AS cnt
-		 FROM sale GROUP BY sale.storeid`,
-	)
-	f.seedRetail()
-	f.init()
-
-	row := tuple.Tuple{types.Int(2001), types.Int(1), types.Int(100), types.Int(8), types.Float(77)}
-	if err := f.db.Insert("sale", row); err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Inserts: []tuple.Tuple{row}})
-
-	del, err := f.db.Delete("sale", types.Int(2001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Deletes: []tuple.Tuple{del}})
-
-	old, upd, err := f.db.Update("sale", types.Int(2), map[string]types.Value{"price": types.Float(1000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Updates: []Update{{Old: old, New: upd}}})
-}
-
-// TestFaultInjectionSharedEnginesParallel re-runs the class-wide sweep with
-// staging fanned out on a four-wide pool: an injected failure in any
-// staging goroutine must still roll the shared tables and every sibling
-// view back to a bit-identical pre-delta state. Which engine the N-th visit
-// lands in depends on scheduling, but the atomicity invariant is
-// schedule-independent — and the sweep still terminates because the total
-// number of injection-point visits per apply is bounded.
-func TestFaultInjectionSharedEnginesParallel(t *testing.T) {
-	setProcs(t, 4)
-	f := newSharedFixture(t,
-		`SELECT time.month, SUM(price) AS total, COUNT(*) AS cnt
-		 FROM sale, time WHERE time.year = 1997 AND sale.timeid = time.id
-		 GROUP BY time.month`,
-		`SELECT sale.storeid, MAX(price) AS hi, COUNT(*) AS cnt
-		 FROM sale GROUP BY sale.storeid`,
-		`SELECT store.city, COUNT(DISTINCT brand) AS brands, SUM(price) AS total
-		 FROM sale, product, store
-		 WHERE sale.productid = product.id AND sale.storeid = store.id
-		 GROUP BY store.city`,
-	)
-	f.seedRetail()
-	f.init()
-
-	row := tuple.Tuple{types.Int(2001), types.Int(1), types.Int(100), types.Int(8), types.Float(77)}
-	if err := f.db.Insert("sale", row); err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Inserts: []tuple.Tuple{row}})
-
-	old, upd, err := f.db.Update("sale", types.Int(2), map[string]types.Value{"price": types.Float(1000)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Updates: []Update{{Old: old, New: upd}}})
-
-	del, err := f.db.Delete("sale", types.Int(2001))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepShared(t, f, Delta{Table: "sale", Deletes: []tuple.Tuple{del}})
-}
-
 // TestMalformedDeltasLeaveStateUntouched feeds structurally invalid deltas
 // to a live engine and asserts every one is rejected by the validate-first
 // pass with zero state change — the "garbage in, nothing out" contract.
@@ -324,6 +211,8 @@ func TestMalformedDeltasLeaveStateUntouched(t *testing.T) {
 	short := tuple.Tuple{types.Int(9000), types.Int(1)} // arity 2, want 5
 	long := tuple.Tuple{types.Int(9001), types.Int(1), types.Int(100), types.Int(7), types.Float(1), types.Float(2)}
 	good := tuple.Tuple{types.Int(9002), types.Int(1), types.Int(100), types.Int(7), types.Float(5)}
+	sale1 := tuple.Tuple{types.Int(1), types.Int(1), types.Int(100), types.Int(7), types.Float(10)}
+	rekeyed := tuple.Tuple{types.Int(901), types.Int(1), types.Int(100), types.Int(7), types.Float(11)}
 
 	cases := []struct {
 		name string
@@ -335,6 +224,7 @@ func TestMalformedDeltasLeaveStateUntouched(t *testing.T) {
 		{"update with short old image", Delta{Table: "sale", Updates: []Update{{Old: short, New: good}}}},
 		{"update with short new image", Delta{Table: "sale", Updates: []Update{{Old: good, New: short}}}},
 		{"valid rows after a bad one", Delta{Table: "sale", Inserts: []tuple.Tuple{good, short}}},
+		{"update that changes the key", Delta{Table: "sale", Updates: []Update{{Old: sale1, New: rekeyed}}}},
 	}
 	tables := f.view.Tables
 	for _, tc := range cases {

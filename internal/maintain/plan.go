@@ -96,13 +96,12 @@ type argBind struct {
 // membership filter; an up step fans out, and a compressed table's COUNT(*)
 // (cntPos >= 0) multiplies into the weight.
 type joinStep struct {
-	at       *AuxTable
-	attr     string
-	probe    cell
-	slot     int
-	down     bool
-	cntPos   int
-	residual func(tuple.Tuple) (bool, error) // unenforced local conditions; nil when none
+	at     *AuxTable
+	attr   string
+	probe  cell
+	slot   int
+	down   bool
+	cntPos int
 }
 
 // detailPlan is the compiled shape of the view detail reachable from one
@@ -118,11 +117,10 @@ type detailPlan struct {
 	gb     []cell    // group-by cells, in group-by order
 	gbFlat []int
 
-	// startCnt and startResidual apply to seed rows of an auxiliary start
-	// table (recomputation): a compressed root seed carries its own
-	// multiplicity, and shared tables need the view's residual conditions.
-	startCnt      int
-	startResidual func(tuple.Tuple) (bool, error)
+	// startCnt is the COUNT(*) column of an auxiliary start table
+	// (recomputation), -1 when absent: a compressed root seed row carries
+	// its own multiplicity.
+	startCnt int
 }
 
 // planKey names one cached detailPlan: base selects the base-table row
@@ -181,12 +179,6 @@ func (e *Engine) compileDetailPlan(start string, base bool) (*detailPlan, error)
 		p.cols = append(p.cols, cols...)
 		return slot
 	}
-	residual := func(table string, at *AuxTable) (func(tuple.Tuple) (bool, error), error) {
-		if len(e.residual[table]) == 0 {
-			return nil, nil
-		}
-		return ra.BindAll(e.residual[table], at.Cols())
-	}
 	// plain resolves a stored-as-is attribute to its cell.
 	plain := func(table, attr string) (cell, error) {
 		l, ok := layouts[table]
@@ -212,10 +204,6 @@ func (e *Engine) compileDetailPlan(start string, base bool) (*detailPlan, error)
 		}
 		bind(start, at, at.Cols())
 		p.startCnt = at.cntPos
-		var err error
-		if p.startResidual, err = residual(start, at); err != nil {
-			return nil, err
-		}
 	}
 
 	// Fold edges in sorted child order, so the join (and column) order is
@@ -256,9 +244,6 @@ func (e *Engine) compileDetailPlan(start string, base bool) (*detailPlan, error)
 				return nil, err
 			}
 			if err := s.at.EnsureIndex(s.attr); err != nil {
-				return nil, err
-			}
-			if s.residual, err = residual(table, s.at); err != nil {
 				return nil, err
 			}
 			s.slot = bind(table, s.at, s.at.Cols())
@@ -345,10 +330,8 @@ func (mv *MaterializedView) flatPlan(cols ra.Schema) (*detailPlan, error) {
 // one slot per table, is extended step by step, and every complete binding
 // is handed to emit together with its weight — the signed number of base
 // detail rows it stands for. Nothing is concatenated; emit reads cells in
-// place (or, on the delta path, materializes the row once). Lookup results
-// must outlive deeper probes, so every step owns its probe scratch; none of
-// it touches the tables' own buffers, so walkers on different goroutines
-// can share quiescent tables.
+// place (or, on the delta path, materializes the row once). Probe results
+// must outlive deeper probes, so every step owns its probe scratch.
 type joinWalker struct {
 	plan   *detailPlan
 	rows   []tuple.Tuple
@@ -401,15 +384,6 @@ func (w *joinWalker) step(i int, weight int64) error {
 		matches = matches[:1]
 	}
 	for _, m := range matches {
-		if s.residual != nil {
-			ok, err := s.residual(m)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
 		wt := weight
 		if s.cntPos >= 0 {
 			wt *= m[s.cntPos].AsInt()

@@ -30,6 +30,14 @@ const categoryCondSQL = `
 	WHERE sale.productid = product.id AND product.category = 'tools'
 	GROUP BY product.id`
 
+// productBrandSQL groups by product's key and its mutable brand: product is
+// k-annotated, so derivation omits the sale auxiliary view and brand
+// updates re-key groups in place.
+const productBrandSQL = `
+	SELECT product.id, product.brand, SUM(price) AS total, COUNT(*) AS cnt
+	FROM sale, product WHERE sale.productid = product.id
+	GROUP BY product.id, product.brand`
+
 // TestMaintainDimensionUpdateAcrossLocalCondition: brand updates move
 // groups across the view's local condition in both directions and must
 // maintain exactly, which requires the retained sale detail.
@@ -114,10 +122,7 @@ func TestRekeyRejectsCrossConditionUpdateWithOmittedRoot(t *testing.T) {
 // local condition involved) remain supported with an omitted root — the
 // legality guard must not over-reject.
 func TestRekeyGroupByStillWorksWithOmittedRoot(t *testing.T) {
-	f := newFixture(t, retailDDL, `
-		SELECT product.id, product.brand, SUM(price) AS total, COUNT(*) AS cnt
-		FROM sale, product WHERE sale.productid = product.id
-		GROUP BY product.id, product.brand`, true)
+	f := newFixture(t, retailDDL, productBrandSQL, true)
 	if f.engine.Aux("sale") != nil {
 		t.Fatal("sale aux should be omitted (product is k-annotated)")
 	}
@@ -125,4 +130,29 @@ func TestRekeyGroupByStillWorksWithOmittedRoot(t *testing.T) {
 	f.initEngine()
 	f.updateRow("product", 100, map[string]types.Value{"brand": types.Str("renamed")})
 	f.updateRow("product", 100, map[string]types.Value{"brand": types.Str("acme")})
+}
+
+// TestRekeyRejectsKeyChangeWithOmittedRoot: an update that changes a
+// primary key is not a legal source transition (storage.DB.Update refuses
+// it). With the root auxiliary view omitted, rekey used to accept one:
+// moving product 100 to 900 left group 100 (total 119, cnt 3) in the view,
+// while recomputation over the changed sources drops it. The engine must
+// reject the update with zero state change.
+func TestRekeyRejectsKeyChangeWithOmittedRoot(t *testing.T) {
+	f := newFixture(t, retailDDL, productBrandSQL, true)
+	if f.engine.Aux("sale") != nil {
+		t.Fatal("sale aux should be omitted (product is k-annotated)")
+	}
+	f.seedRetail()
+	f.initEngine()
+
+	old := tuple.Tuple{types.Int(100), types.Str("acme"), types.Str("tools")}
+	upd := tuple.Tuple{types.Int(900), types.Str("acme"), types.Str("tools")}
+	before := captureEngine(f.engine, f.view.Tables)
+	err := f.engine.Apply(Delta{Table: "product", Updates: []Update{{Old: old, New: upd}}})
+	if err == nil || !strings.Contains(err.Error(), "changes its key") {
+		t.Fatalf("key-changing update: err = %v, want a key-change rejection", err)
+	}
+	before.requireUnchanged(t, f.engine, f.view.Tables, "rejected key change")
+	f.check("after rejected key change")
 }

@@ -45,7 +45,8 @@ func checkAuxIndexes(t *testing.T, at *AuxTable) {
 // lookupVals returns the encoded keys of the rows an index probe yields.
 func lookupVals(at *AuxTable, attr string, v types.Value) []string {
 	var out []string
-	for _, r := range at.Lookup(attr, v) {
+	rows, _ := at.lookupInto(attr, v, nil, nil)
+	for _, r := range rows {
 		out = append(out, r.Key())
 	}
 	return out

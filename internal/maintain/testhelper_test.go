@@ -15,14 +15,3 @@ func mustEngine(t testing.TB, p *core.Plan) *Engine {
 	}
 	return e
 }
-
-// mustShared is NewSharedEngines for tests whose shared plans are valid by
-// construction.
-func mustShared(t testing.TB, sp *core.SharedPlan) *SharedEngines {
-	t.Helper()
-	se, err := NewSharedEngines(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return se
-}

@@ -2,20 +2,22 @@ package wal
 
 import (
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"mindetail/internal/obs"
 )
 
 // TestCommitBatchRecords verifies CommitBatch appends one commit record
-// per LSN, in order, and that a reopened log sees every outcome.
+// per LSN, in order, counts the batch as one group-commit sync, and that a
+// reopened log sees every outcome.
 func TestCommitBatchRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := OpenLog(path, SyncCommit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	l.SetObs(reg)
 	var lsns []uint64
 	for i := 0; i < 5; i++ {
 		lsn, err := l.BeginDelta(testDelta(int64(i)), true)
@@ -29,6 +31,10 @@ func TestCommitBatchRecords(t *testing.T) {
 	}
 	if err := l.CommitBatch(lsns); err != nil {
 		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if syncs, commits := snap.Counters["wal.groupcommit.syncs"], snap.Counters["wal.records.commit"]; syncs != 1 || commits != 5 {
+		t.Fatalf("group-commit syncs = %d, commit records = %d; want 1 and 5", syncs, commits)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -51,91 +57,5 @@ func TestCommitBatchRecords(t *testing.T) {
 		if c.Kind != KindCommit || c.LSN != lsn {
 			t.Fatalf("commit record %d = kind %v lsn %d, want commit of %d", i, c.Kind, c.LSN, lsn)
 		}
-	}
-}
-
-// TestGroupCommitterBatches drives concurrent writers through a
-// GroupCommitter and verifies every commit lands durably while the log
-// performs strictly fewer batch syncs than commits — the fsync
-// amortization the group commit exists for.
-func TestGroupCommitterBatches(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, SyncCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	reg := obs.NewRegistry()
-	l.SetObs(reg)
-
-	const writers = 32
-	g := NewGroupCommitter(l, 0)
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lsn, err := l.BeginDelta(testDelta(int64(i)), true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = g.Commit(lsn)
-		}(i)
-	}
-	wg.Wait()
-	g.Close()
-	g.Close() // idempotent
-
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
-		}
-	}
-	recs, err := l.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	commits := 0
-	for _, r := range recs {
-		if r.Kind == KindCommit {
-			commits++
-		}
-	}
-	if commits != writers {
-		t.Fatalf("got %d commit records, want %d", commits, writers)
-	}
-	snap := reg.Snapshot()
-	syncs := snap.Counters["wal.groupcommit.syncs"]
-	if syncs < 1 || syncs > writers {
-		t.Fatalf("group-commit syncs = %d, want within [1, %d]", syncs, writers)
-	}
-}
-
-// TestGroupCommitterSingle checks the degenerate light-load case: one
-// writer, one batch, same contract as Log.Commit.
-func TestGroupCommitterSingle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	l, err := OpenLog(path, SyncCommit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	g := NewGroupCommitter(l, 8)
-	defer g.Close()
-	lsn, err := l.BeginDelta(testDelta(1), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(lsn); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := l.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Kind != KindCommit || recs[1].LSN != lsn {
-		t.Fatalf("unexpected records after single group commit: %+v", recs)
 	}
 }

@@ -3,7 +3,6 @@ package warehouse
 import (
 	"fmt"
 
-	"mindetail/internal/core"
 	"mindetail/internal/faultinject"
 	"mindetail/internal/gpsj"
 	"mindetail/internal/maintain"
@@ -85,30 +84,10 @@ func (w *Warehouse) createViewOnline(st *sqlparse.CreateView, logSQL string) err
 		w.mu.Unlock()
 		return err
 	}
-	var plan *core.Plan
-	if w.AppendOnly {
-		plan, err = core.DeriveAppendOnly(v)
-	} else {
-		plan, err = core.Derive(v)
-	}
+	plan, eng, err := w.buildEngine(v, w.AppendOnly)
 	if err != nil {
 		w.mu.Unlock()
 		return err
-	}
-	eng, err := maintain.NewEngine(plan)
-	if err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	eng.UseNeedSets = w.UseNeedSets
-	if !w.obsTimingOff {
-		eng.SetMetrics(w.met.engineMet)
-	}
-	if w.auxFactory != nil {
-		if err := eng.SetAuxStores(w.adaptFactory(st.Name)); err != nil {
-			w.mu.Unlock()
-			return err
-		}
 	}
 	lsn, logged, err := w.beginDDL(logSQL)
 	if err != nil {

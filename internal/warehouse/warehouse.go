@@ -120,10 +120,6 @@ type Warehouse struct {
 	// "no version" to QuerySince, so the first value handed out is 1).
 	versions atomic.Uint64
 
-	// UseNeedSets configures engines created by subsequent CREATE VIEW
-	// statements (Need-set-restricted delta joins, on by default).
-	UseNeedSets bool
-
 	// AppendOnly derives subsequent views under the Section 4 relaxation:
 	// the sources only ever receive insertions, MIN/MAX compress into the
 	// auxiliary views, and deletions/updates are rejected.
@@ -169,12 +165,11 @@ func (w *Warehouse) SetOpLog(f func(OpEvent)) {
 func New() *Warehouse {
 	cat := schema.NewCatalog()
 	return &Warehouse{
-		cat:         cat,
-		src:         storage.NewDB(cat),
-		views:       make(map[string]*View),
-		pending:     make(map[string]*backfillState),
-		UseNeedSets: true,
-		met:         newWMetrics(),
+		cat:     cat,
+		src:     storage.NewDB(cat),
+		views:   make(map[string]*View),
+		pending: make(map[string]*backfillState),
+		met:     newWMetrics(),
 	}
 }
 
@@ -488,27 +483,9 @@ func (w *Warehouse) applyCreateView(st *sqlparse.CreateView) error {
 	if err != nil {
 		return err
 	}
-	var plan *core.Plan
-	if w.AppendOnly {
-		plan, err = core.DeriveAppendOnly(v)
-	} else {
-		plan, err = core.Derive(v)
-	}
+	plan, eng, err := w.buildEngine(v, w.AppendOnly)
 	if err != nil {
 		return err
-	}
-	eng, err := maintain.NewEngine(plan)
-	if err != nil {
-		return err
-	}
-	eng.UseNeedSets = w.UseNeedSets
-	if !w.obsTimingOff {
-		eng.SetMetrics(w.met.engineMet)
-	}
-	if w.auxFactory != nil {
-		if err := eng.SetAuxStores(w.adaptFactory(st.Name)); err != nil {
-			return err
-		}
 	}
 	if err := eng.Init(w.srcRel); err != nil {
 		return err
@@ -517,6 +494,35 @@ func (w *Warehouse) applyCreateView(st *sqlparse.CreateView) error {
 	w.order = append(w.order, st.Name)
 	w.publishViewIndex()
 	return nil
+}
+
+// buildEngine derives v's plan (under the Section 4 append-only relaxation
+// when asked) and builds its engine, attached to the warehouse's metrics
+// and, when one is installed, its out-of-core store factory. Every CREATE,
+// backfill and restore builds its engine here. Callers hold w.mu.
+func (w *Warehouse) buildEngine(v *gpsj.View, appendOnly bool) (*core.Plan, *maintain.Engine, error) {
+	derive := core.Derive
+	if appendOnly {
+		derive = core.DeriveAppendOnly
+	}
+	plan, err := derive(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := maintain.NewEngine(plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !w.obsTimingOff {
+		eng.SetMetrics(w.met.engineMet)
+	}
+	if w.auxFactory != nil {
+		if err := eng.SetAuxStores(w.adaptFactory(v.Name)); err != nil {
+			_ = eng.Close() // releases the stores already swapped in; err is the failure to report
+			return nil, nil, err
+		}
+	}
+	return plan, eng, nil
 }
 
 // newView wraps a maintained view at a fresh version.
@@ -563,27 +569,9 @@ func (w *Warehouse) RestoreView(name, selectSQL string, appendOnly bool, st *mai
 	if err != nil {
 		return err
 	}
-	var plan *core.Plan
-	if appendOnly {
-		plan, err = core.DeriveAppendOnly(v)
-	} else {
-		plan, err = core.Derive(v)
-	}
+	plan, eng, err := w.buildEngine(v, appendOnly)
 	if err != nil {
 		return err
-	}
-	eng, err := maintain.NewEngine(plan)
-	if err != nil {
-		return err
-	}
-	eng.UseNeedSets = w.UseNeedSets
-	if !w.obsTimingOff {
-		eng.SetMetrics(w.met.engineMet)
-	}
-	if w.auxFactory != nil {
-		if err := eng.SetAuxStores(w.adaptFactory(name)); err != nil {
-			return err
-		}
 	}
 	if err := eng.ImportState(st); err != nil {
 		return err

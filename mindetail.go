@@ -173,17 +173,6 @@ func DeriveShared(cat *Catalog, views map[string]string) (*SharedPlan, error) {
 	return core.DeriveShared(vs)
 }
 
-// SharedEngines maintains a class of views over one shared auxiliary-view
-// set (see internal/maintain). Its Apply stages the views through the same
-// all-or-nothing coordinator a Warehouse uses, and rejects a delta on a
-// table the class's catalog does not define.
-type SharedEngines = maintain.SharedEngines
-
-// NewSharedEngines builds a maintenance coordinator for a shared plan;
-// call Init with source relations before applying deltas. A malformed
-// shared plan is reported as an error, not a panic.
-func NewSharedEngines(sp *SharedPlan) (*SharedEngines, error) { return maintain.NewSharedEngines(sp) }
-
 // Save snapshots the warehouse state to a writer; with includeSources the
 // source tables are written too and the restored warehouse starts
 // attached, otherwise it restores detached (sources are external, per the

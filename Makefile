@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all verify ci build fmt-check vet test race race-all faultinject fuzz-smoke bench-smoke bench-test bench-e2e cover bench bench-json obs-bench harness examples clean
+.PHONY: all verify ci build fmt-check vet test race race-all faultinject fuzz-smoke bench-smoke bench-test bench-e2e bench-ab cover bench bench-json obs-bench harness examples clean
 
 all: build vet test faultinject race
 
@@ -96,6 +96,21 @@ bench-test:
 # four workloads: minutes of wall clock, so manual — not part of verify.
 bench-e2e:
 	bash bench/run.sh --workload all
+
+# bench-ab compares the repo benchmark between BASE and this checkout as
+# alternating pairs — seed i on both sides of pair i, odd pairs BASE first —
+# and prints the parent-vs-change tables EXPERIMENTS.md records, with each
+# metric's direction read from BENCHMARK.json. It stops at any incorrect
+# run or failed operation, and appends every result to benchab.jsonl.
+# BASE and CHANGE are git tree-ishes exported with git archive; an empty
+# CHANGE measures the checkout itself. Minutes per pair, so manual — not
+# part of verify. Example: make bench-ab BASE=HEAD~1 WORKLOADS=feed-append
+BASE ?= HEAD
+CHANGE ?=
+PAIRS ?= 4
+WORKLOADS ?= all
+bench-ab:
+	$(GO) run ./cmd/benchab -base '$(BASE)' -change '$(CHANGE)' -pairs $(PAIRS) -workloads '$(WORKLOADS)'
 
 # cover enforces a total-statement-coverage floor. The floor sits below
 # the measured total (88.6% when set) by a margin wide enough for honest

@@ -342,14 +342,13 @@ func (t *AuxTable) Adjust(plainVals tuple.Tuple, sumDeltas map[string]types.Valu
 	// is materialized only when a row is inserted or removed. indexAdd and
 	// indexRemove clobber probeBuf, so every branch that calls them first
 	// captures the key — the in-place adjust path allocates nothing beyond
-	// the undo-journal entry.
+	// the group's first undo-journal entry of the stage.
 	t.probeBuf = plainVals.AppendKey(t.probeBuf[:0])
 	if err := t.fi.Fire(faultinject.AuxAdjustStart); err != nil {
 		return err
 	}
-	if err := t.jnl.noteAux(t, t.probeBuf); err != nil {
-		return err
-	}
+	// One read serves the journal and the adjustment. A store read failure
+	// surfaces here, before anything was journaled or mutated.
 	row, ok, err := t.store.Get(t.probeBuf)
 	if err != nil {
 		return err
@@ -357,6 +356,7 @@ func (t *AuxTable) Adjust(plainVals tuple.Tuple, sumDeltas map[string]types.Valu
 	if !ok {
 		row = nil
 	}
+	t.jnl.noteAux(t, t.probeBuf, row)
 	out, err := t.adjustCore(row, plainVals, sumDeltas, extrema, dCnt)
 	if err != nil {
 		return err

@@ -128,10 +128,11 @@ type Engine struct {
 	pc planCache
 
 	// Scratch reused across Apply calls (the engine is not safe for
-	// concurrent Apply, so a single set suffices). lkKeyBuf, walker, seedLk
-	// and agg are the engine's private probe and aggregation scratch: a
-	// probe's rows must outlive the deeper probes of the same walk, so each
-	// probe brings its own buffers rather than borrowing the table's.
+	// concurrent Apply, so a single set suffices). lkKeyBuf, walker, seedLk,
+	// adj and agg are the engine's private probe, adjust and aggregation
+	// scratch: a probe's rows must outlive the deeper probes of the same
+	// walk, so each probe brings its own buffers rather than borrowing the
+	// table's.
 	keyBuf    []byte
 	plainBuf  tuple.Tuple
 	sumDeltaC map[string]types.Value
@@ -139,12 +140,13 @@ type Engine struct {
 	lkKeyBuf  []byte
 	walker    joinWalker
 	seedLk    probeScratch
+	adj       groupAdjuster
 	agg       aggregator
 
-	// jnl is the per-apply undo log: every mutation of the auxiliary
-	// tables or the materialized view records the affected group's prior
-	// image, and any error during apply rolls the log back so the engine
-	// is bit-identical to its pre-delta state (failure atomicity).
+	// jnl is the per-apply undo log: the first mutation of each group of
+	// the auxiliary tables or the materialized view records the group's
+	// prior image, and any error during apply rolls the log back so the
+	// engine is bit-identical to its pre-delta state (failure atomicity).
 	jnl journal
 
 	// fi is the fault-injection hook (nil in production).
@@ -777,6 +779,9 @@ func (e *Engine) vImpact(t string, d Delta, signed []signedRow) error {
 		return e.rekey(t, d.Updates)
 	}
 
+	if e.streams(signed) {
+		return e.adjustFromWalk(t, signed)
+	}
 	dd, err := e.deltaDetail(t, signed)
 	if err != nil {
 		return err
@@ -785,22 +790,6 @@ func (e *Engine) vImpact(t string, d Delta, signed []signedRow) error {
 		return nil
 	}
 	e.stats.detailRows.Add(int64(len(dd.rows)))
-
-	if len(e.mv.storedIdx) == 0 {
-		return e.adjustFromDetail(dd, nil)
-	}
-	negative := false
-	for _, w := range dd.weights {
-		if w < 0 {
-			negative = true
-			break
-		}
-	}
-	if len(e.mv.distinctIdx) == 0 && !negative {
-		// MIN/MAX are SMAs for insertions (Table 1): adjust incrementally
-		// and raise the extrema.
-		return e.adjustFromDetail(dd, nil)
-	}
 	// Decide once, from the delta's net effect, which groups must
 	// recompute; the rest adjust.
 	recompute := e.splitAffected(dd)

@@ -47,7 +47,7 @@ type Metrics struct {
 
 	stages       [numStages]*obs.Histogram // maintain.stage.<name>_ns
 	applyNs      *obs.Histogram            // maintain.apply_ns (end-to-end staging)
-	journalDepth *obs.Histogram            // maintain.journal.depth (entries/apply)
+	journalDepth *obs.Histogram            // maintain.journal.depth (groups journaled per staged apply)
 
 	applies           *obs.Counter // maintain.applies
 	rollbacks         *obs.Counter // maintain.rollbacks
@@ -138,14 +138,18 @@ func (e *Engine) rollbackJournal(cause error) {
 
 // recordApply publishes one apply's end-to-end latency, journal depth, and
 // trace event (with the non-zero stage timings accumulated in stageNs).
+// The journal depth is the number of distinct groups — view and auxiliary —
+// the apply journaled, and exists only for a staged apply: a failed one has
+// already rolled back and discarded its journal.
 func (e *Engine) recordApply(d Delta, total int64, err error) {
 	m := e.met
 	m.applyNs.Observe(total)
 	m.applies.Inc()
-	m.journalDepth.Observe(int64(len(e.jnl.ents)))
 	outcome := "staged"
 	if err != nil {
 		outcome = "error: " + err.Error()
+	} else {
+		m.journalDepth.Observe(int64(len(e.jnl.ents)))
 	}
 	var stages []obs.Stage
 	for i, ns := range e.stageNs {

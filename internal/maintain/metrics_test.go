@@ -6,6 +6,7 @@ import (
 
 	"mindetail/internal/faultinject"
 	"mindetail/internal/obs"
+	"mindetail/internal/tuple"
 	"mindetail/internal/types"
 )
 
@@ -203,5 +204,52 @@ func TestMetricsIgnoresForeignTables(t *testing.T) {
 	s := reg.Snapshot()
 	if s.Counters["maintain.applies"] != 0 || s.Histograms["maintain.apply_ns"].Count != 0 {
 		t.Errorf("foreign-table delta was counted: %+v", s.Counters)
+	}
+}
+
+// TestMetricsJournalDepth pins maintain.journal.depth. A staged apply
+// observes the number of distinct groups it journaled — each view group and
+// each auxiliary group once, however many of the delta's rows touch it. A
+// failed apply observes nothing: its journal is already rolled back.
+func TestMetricsJournalDepth(t *testing.T) {
+	f := newFixture(t, retailDDL, csmasJoinSQL, true)
+	f.seedRetail()
+	f.initEngine()
+	reg := obs.NewRegistry()
+	f.engine.SetMetrics(NewMetrics(reg))
+	depth := func() obs.HistogramSnapshot { return reg.Snapshot().Histograms["maintain.journal.depth"] }
+
+	d := bulkInsertSales(f, 512)
+	// The groups the delta touches, derived from the oracle: view groups
+	// by (month, brand), sale auxiliary groups by its plain attributes.
+	sale := f.cat.Table("sale")
+	var auxPos []int
+	for _, a := range f.engine.Aux("sale").def.PlainAttrs {
+		auxPos = append(auxPos, sale.AttrIndex(a))
+	}
+	viewGroups, auxGroups := map[string]bool{}, map[string]bool{}
+	for _, row := range d.Inserts {
+		month := f.db.Table("time").Get(row[1])[2]
+		brand := f.db.Table("product").Get(row[2])[1]
+		viewGroups[tuple.Tuple{month, brand}.Key()] = true
+		auxGroups[row.KeyAt(auxPos)] = true
+	}
+	f.apply(d)
+	want := int64(len(viewGroups) + len(auxGroups))
+	if h := depth(); h.Count != 1 || h.SumNs != want {
+		t.Fatalf("journal depth after a 512-row insert: %d observation(s) summing to %d, want 1 of %d (%d view + %d auxiliary groups)",
+			h.Count, h.SumNs, want, len(viewGroups), len(auxGroups))
+	}
+
+	// Visit 3 is the first row's AuxAdjustMid, after its group was
+	// journaled: the apply fails and rolls back.
+	f.engine.SetFaultHook(faultinject.NewHook(3))
+	err := f.engine.Apply(bulkInsertSales(f, 8))
+	f.engine.SetFaultHook(nil)
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("apply = %v, want an injected failure", err)
+	}
+	if h := depth(); h.Count != 1 {
+		t.Fatalf("a failed apply observed a journal depth: %d observations, want 1", h.Count)
 	}
 }

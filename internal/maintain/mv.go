@@ -180,18 +180,20 @@ func (mv *MaterializedView) blank(gbVals []types.Value) tuple.Tuple {
 
 // adjustBuf applies a signed weighted contribution to a group's CSMAS
 // components and the hidden count: dCnt row-count units, and per-sum-
-// component value deltas. It creates the group when absent and removes it
-// when the hidden count returns to zero (unless the view is global, or keep
-// defers the removal to the caller). The group key comes pre-encoded in a
-// caller-owned scratch buffer: lookups and deletes use string(key)
-// conversions the runtime elides, so the hot adjustment loop allocates a
-// key string only when a new group is created.
-func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value, keep bool) error {
+// component value deltas (sums, indexed by component; only the SUM
+// components' entries are read). It creates the group when absent and
+// removes it when the hidden count returns to zero (unless the view is
+// global, or keep defers the removal to the caller), and returns the
+// group's row afterwards (nil when removed). The group key comes
+// pre-encoded in a caller-owned scratch buffer: lookups and deletes use
+// string(key) conversions the runtime elides, so the hot adjustment loop
+// allocates a key string only when a new group is created.
+func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int64, sums []types.Value, keep bool) (tuple.Tuple, error) {
 	row := mv.rows[string(key)]
 	existed := row != nil
-	out, err := mv.adjustRowCore(row, gbVals, dCnt, sumDeltas, keep)
+	out, err := mv.adjustRowCore(row, gbVals, dCnt, sums, keep)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch {
 	case out == nil && existed:
@@ -200,7 +202,7 @@ func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int
 		mv.rows[string(key)] = out
 	}
 	// existed && out != nil: out is row, adjusted in place.
-	return nil
+	return out, nil
 }
 
 // adjustRowCore applies one weighted contribution to a component row image
@@ -214,7 +216,7 @@ func (mv *MaterializedView) adjustBuf(key []byte, gbVals []types.Value, dCnt int
 // updated passes through count zero between the old image and the new, and
 // dropping it there would lose the stored values the delta provably does
 // not change. The caller removes groups still empty after the last row.
-func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value, dCnt int64, sumDeltas map[int]types.Value, keep bool) (tuple.Tuple, error) {
+func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value, dCnt int64, sums []types.Value, keep bool) (tuple.Tuple, error) {
 	if row == nil {
 		row = mv.blank(gbVals)
 	}
@@ -223,11 +225,7 @@ func (mv *MaterializedView) adjustRowCore(row tuple.Tuple, gbVals []types.Value,
 		case compCount:
 			row[ci] = types.Int(row[ci].AsInt() + dCnt)
 		case compSum:
-			d, ok := sumDeltas[ci]
-			if !ok {
-				continue
-			}
-			if err := accumulate(&row[ci], d); err != nil {
+			if err := accumulate(&row[ci], sums[ci]); err != nil {
 				return row, err
 			}
 		}

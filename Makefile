@@ -30,15 +30,17 @@ test:
 
 # Race-check the concurrent layers: the maintenance engine (the staging
 # coordinator), the warehouse (propagation, lock-free reads, online
-# backfill, the group-commit batch pipeline), the write-ahead log, the
+# backfill, ApplyDelta's group commit), the write-ahead log, the
 # lock-free observability primitives, the wire server (concurrent sessions,
 # admission control, disconnect drain), and the pager (buffer-pool
 # pin/unpin and eviction under shared stores).
 #
 # The staging pool is GOMAXPROCS wide, so the coordinator's two sides —
 # inline serial staging and fanned-out staging — depend on the runner's
-# cores. RACE_CPU packages therefore run twice, at -cpu 1 and -cpu 4, so
-# both sides run under the detector on any runner.
+# cores, and so does how often ApplyDelta hands leadership from one caller
+# to the next under concurrent wire sessions. RACE_CPU packages therefore
+# run twice, at -cpu 1 and -cpu 4, so every side runs under the detector on
+# any runner.
 #
 # The package set is derived from `go list` so a NEW package is race-
 # checked by default; RACE_SKIP only excludes the serial drivers whose
@@ -46,9 +48,9 @@ test:
 # and internal/faultinject, whose sweeps run under -race in their own
 # target below.
 RACE_SKIP := examples/|cmd/benchharness|cmd/dwsim|cmd/dwshell|internal/experiments|internal/faultinject
-RACE_CPU := ./internal/maintain ./internal/warehouse
+RACE_CPU := ./internal/maintain ./internal/warehouse ./internal/wire
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -Ev '$(RACE_SKIP)|/internal/(maintain|warehouse)$$')
+	$(GO) test -race $$($(GO) list ./... | grep -Ev '$(RACE_SKIP)|/internal/(maintain|warehouse|wire)$$')
 	$(GO) test -race -cpu 1,4 $(RACE_CPU)
 
 race-all:
@@ -59,7 +61,7 @@ race-all:
 # the online CREATE/DROP MATERIALIZED VIEW backfill — must roll back to
 # bit-identical state, and, with a WAL attached, recover to it from the
 # on-disk bytes, under the race detector. Covers multi-row bulk applies,
-# the group-commit batch pipeline, the torn-write sweeps (batch commits,
+# group-committed batches, the torn-write sweeps (batch commits,
 # mid-backfill deltas, drops), and the out-of-core stores (page-codec
 # fuzz corpus, eviction-boundary rollback, paged recovery sweeps).
 #

@@ -64,8 +64,8 @@ func batchBenchDelta(id int64) maintain.Delta {
 	return d
 }
 
-// benchBatchPropagate measures one op = batchBenchDeltas deltas through
-// the pipeline at batch depth depth: batches of depth adjacent deltas per
+// benchBatchPropagate measures one op = batchBenchDeltas deltas applied
+// at batch depth depth: batches of depth adjacent deltas per
 // ApplyDeltaBatch, so group commit and coalescing engage at exactly that
 // depth. depth == 1 degenerates to the serial per-delta path with one
 // fsync each.

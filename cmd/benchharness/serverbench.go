@@ -27,9 +27,9 @@ var serverBenchParams = workload.RetailParams{
 // runServerBench measures sustained mixed-traffic throughput over the wire
 // protocol: nConns concurrent authenticated sessions each issuing
 // opsPerConn requests, ~90% snapshot view reads and ~10% single-delta
-// applies through the server's shared group-commit pipeline. The result's
-// NsPerOp is wall-clock per completed request across all sessions, so
-// QPS = 1e9 / NsPerOp.
+// applies, which Warehouse.ApplyDelta group-commits across sessions. The
+// result's NsPerOp is wall-clock per completed request across all
+// sessions, so QPS = 1e9 / NsPerOp.
 func runServerBench() (benchResult, error) {
 	const (
 		nConns     = 1000

@@ -106,7 +106,7 @@ func runSmoke(path string) error {
 
 // smokeSubset measures the gate's benchmark subset: the headline
 // maintenance hot path without instrumentation, the group-key encoder,
-// both durability benchmarks, the batch write pipeline, the wire server,
+// both durability benchmarks, batched writes, the wire server,
 // the out-of-core stores, and the workload zoo. Keep smokeGateNames in
 // sync.
 func smokeSubset() ([]benchResult, error) {
@@ -138,7 +138,7 @@ func smokeSubset() ([]benchResult, error) {
 	}
 	results = append(results, walBenches...)
 
-	// The batch write pipeline: batch depths 2/4/8, so a regression in
+	// Batched writes: batch depths 2/4/8, so a regression in
 	// coalescing or fsync batching fails the gate.
 	for _, depth := range []int{2, 4, 8} {
 		r, err := benchBatchPropagate(depth)
@@ -150,7 +150,7 @@ func smokeSubset() ([]benchResult, error) {
 
 	// The wire serve path: 1k concurrent sessions of mixed reads and
 	// group-committed applies, so a regression in framing, session
-	// scheduling, or the server's pipeline routing fails the gate.
+	// scheduling, or ApplyDelta's group commit fails the gate.
 	serverQPS, err := runServerBench()
 	if err != nil {
 		return nil, err

@@ -2,7 +2,7 @@
 // protocol (internal/wire). Clients — internal/wireclient, or anything
 // speaking the frame format — execute SQL, read materialized views
 // through the lock-free snapshot path, and stream externally produced
-// deltas through the server's group-commit pipeline.
+// deltas that the warehouse group-commits across sessions.
 //
 //	dwserver -addr :7437 -secret s3cret -init schema.sql
 //	dwserver -addr :7437 -wal /var/lib/dw -obs :7438
@@ -36,7 +36,6 @@ type options struct {
 	obsAddr  string
 	maxConns int
 	inflight int
-	depth    int
 }
 
 func main() {
@@ -49,7 +48,6 @@ func main() {
 	flag.StringVar(&o.obsAddr, "obs", "", "HTTP address for the observability endpoint (/metrics, /metrics.json, pprof); empty = disabled")
 	flag.IntVar(&o.maxConns, "max-conns", wire.DefaultMaxConns, "maximum concurrent client sessions (admission control)")
 	flag.IntVar(&o.inflight, "inflight", wire.DefaultMaxInFlight, "maximum in-flight requests per session (backpressure)")
-	flag.IntVar(&o.depth, "pipeline-depth", 0, "group-commit batch ceiling for APPLY requests (0 = default)")
 	flag.Parse()
 
 	stop := make(chan os.Signal, 1)
@@ -108,10 +106,9 @@ func run(out io.Writer, o options, stop <-chan os.Signal) error {
 	}
 
 	s, err := wire.Listen(w, o.addr, wire.Config{
-		Secret:        o.secret,
-		MaxConns:      o.maxConns,
-		MaxInFlight:   o.inflight,
-		PipelineDepth: o.depth,
+		Secret:      o.secret,
+		MaxConns:    o.maxConns,
+		MaxInFlight: o.inflight,
 	})
 	if err != nil {
 		return err

@@ -2,6 +2,7 @@ package warehouse
 
 import (
 	"fmt"
+	"sync"
 
 	"mindetail/internal/faultinject"
 	"mindetail/internal/maintain"
@@ -11,15 +12,15 @@ import (
 // Group commit and delta batching.
 //
 // ApplyDeltaBatch applies several externally produced deltas under one
-// write-lock acquisition and — when the warehouse's ChangeLog supports it —
-// one group commit: every delta's intent is appended (and made durable per
-// the log's policy) before its apply, as in the single-delta path, but the
-// commit records of the whole batch are appended together and flushed with
-// a single fsync. Per-delta atomicity across views is unchanged: each delta
-// either commits on every view or on none. The batch as a whole is NOT
-// all-or-nothing in memory — delta k failing does not undo deltas 1..k-1 —
-// but it IS all-or-nothing against a crash before the group commit: none of
-// the batch's intents have outcomes yet, so recovery discards them whole.
+// write-lock acquisition and one group commit: every delta's intent is
+// appended (and made durable per the log's policy) before its apply, as in
+// the single-delta path, but the commit records of the whole batch are
+// appended together and flushed with a single fsync. Per-delta atomicity
+// across views is unchanged: each delta either commits on every view or on
+// none. The batch as a whole is NOT all-or-nothing in memory — delta k
+// failing does not undo deltas 1..k-1 — but it IS all-or-nothing against a
+// crash before the group commit: none of the batch's intents have outcomes
+// yet, so recovery discards them whole.
 //
 // Adjacent insert-only deltas to the same table are coalesced into one
 // propagation: the view engines expand and join the concatenated rows once
@@ -31,13 +32,107 @@ import (
 // to insertions across member boundaries. A failed coalesced propagation
 // falls back to applying the members one by one, preserving the per-delta
 // error contract.
+//
+// ApplyDelta feeds ApplyDeltaBatch by leader combining. A caller that finds
+// no batch in flight leads: it applies its own delta together with the
+// callers queued behind the previous batch (up to maxGroupCommit in all),
+// answers each of them, and hands leadership to the first caller still
+// queued. Callers that arrive while a batch is in flight queue and block.
+// No goroutine is dedicated to writes, and a lone caller — every
+// single-threaded one — takes the plain single-delta path.
 
-// BatchCommitter is the optional group-commit surface of a ChangeLog
-// (implemented by internal/wal.Log): commit records for several LSNs are
-// appended together and made durable with one sync. Logs without it fall
-// back to per-delta Commit calls.
+// maxGroupCommit caps the deltas one ApplyDelta leader applies together.
+const maxGroupCommit = 64
+
+// BatchCommitter is a ChangeLog's group-commit surface (implemented by
+// internal/wal.Log): commit records for several LSNs are appended together
+// and made durable with one sync.
 type BatchCommitter interface {
 	CommitBatch(lsns []uint64) error
+}
+
+// combiner is ApplyDelta's group-commit state.
+type combiner struct {
+	mu      sync.Mutex
+	leading bool      // a leader's batch is in flight
+	queue   []*waiter // callers waiting for the next batch, oldest first
+}
+
+// waiter is one queued ApplyDelta call. wake fires exactly once: false
+// once err holds the delta's outcome, true when the caller is to lead the
+// next batch.
+type waiter struct {
+	d    maintain.Delta
+	err  error
+	wake chan bool
+}
+
+// ApplyDelta propagates an externally produced delta (a change-log entry)
+// to every view. This is the only change path once sources are detached.
+// It is all-or-nothing across views: on error no view reflects the delta.
+// Concurrent callers are group-committed (see the comment at the top of
+// this file); each gets its own delta's outcome.
+func (w *Warehouse) ApplyDelta(d maintain.Delta) error {
+	c := &w.commits
+	c.mu.Lock()
+	if c.leading {
+		me := &waiter{d: d, wake: make(chan bool, 1)}
+		c.queue = append(c.queue, me)
+		c.mu.Unlock()
+		if lead := <-me.wake; !lead {
+			return me.err
+		}
+		c.mu.Lock()
+	}
+	c.leading = true
+	n := min(len(c.queue), maxGroupCommit-1)
+	// Only appends touch the queue after this, so the taken prefix is the
+	// leader's alone.
+	followers := c.queue[:n:n]
+	c.queue = c.queue[n:]
+	c.mu.Unlock()
+
+	var err error
+	if n == 0 {
+		err = w.applyAlone(d)
+	} else {
+		ds := make([]maintain.Delta, 0, 1+n)
+		ds = append(ds, d)
+		for _, f := range followers {
+			ds = append(ds, f.d)
+		}
+		errs := w.ApplyDeltaBatch(ds)
+		err = errs[0]
+		for i, f := range followers {
+			f.err = errs[1+i]
+			f.wake <- false
+		}
+	}
+
+	c.mu.Lock()
+	if len(c.queue) == 0 {
+		c.leading = false
+		c.mu.Unlock()
+		return err
+	}
+	next := c.queue[0]
+	c.queue = c.queue[1:]
+	c.mu.Unlock()
+	next.wake <- true
+	return err
+}
+
+// applyAlone is a batch of one: the single-delta path, counted in the
+// batch metrics like any other batch.
+func (w *Warehouse) applyAlone(d maintain.Delta) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.met.batchSize.Observe(1)
+	w.met.batchDeltas.Inc()
+	if w.cat.Table(d.Table) == nil {
+		return fmt.Errorf("warehouse: unknown table %s", d.Table)
+	}
+	return w.logAndPropagate(d, false)
 }
 
 // coalescible reports whether a delta may join an insert-only coalescing
@@ -48,12 +143,12 @@ func coalescible(d maintain.Delta) bool {
 
 // coalesceGroups partitions the batch indexes into propagation groups:
 // runs of adjacent insert-only deltas to the same table merge; every other
-// delta forms a singleton group. Invalid indexes (nil table, prior error)
-// are skipped entirely.
-func coalesceGroups(ds []maintain.Delta, valid []bool) [][]int {
+// delta forms a singleton group. Indexes that already failed are skipped
+// entirely.
+func coalesceGroups(ds []maintain.Delta, errs []error) [][]int {
 	var groups [][]int
 	for i := range ds {
-		if !valid[i] {
+		if errs[i] != nil {
 			continue
 		}
 		n := len(groups)
@@ -100,13 +195,10 @@ func (w *Warehouse) ApplyDeltaBatch(ds []maintain.Delta) []error {
 	w.met.batchSize.Observe(int64(len(ds)))
 	w.met.batchDeltas.Add(int64(len(ds)))
 
-	valid := make([]bool, len(ds))
 	for i, d := range ds {
 		if w.cat.Table(d.Table) == nil {
 			errs[i] = fmt.Errorf("warehouse: unknown table %s", d.Table)
-			continue
 		}
-		valid[i] = true
 	}
 
 	// lsns[i] is delta i's intent LSN once logged; pending lists the batch
@@ -125,23 +217,18 @@ func (w *Warehouse) ApplyDeltaBatch(ds []maintain.Delta) []error {
 		pending = append(pending, i)
 	}
 
-	for _, g := range coalesceGroups(ds, valid) {
+	for _, g := range coalesceGroups(ds, errs) {
 		// Intent-before-apply, per member: a member whose intent cannot be
 		// logged is not applied.
 		if w.wal != nil {
 			applicable := g[:0]
 			for _, i := range g {
-				lsn, err := w.wal.BeginDelta(ds[i], false)
+				lsn, err := w.logIntent(ds[i], false)
 				if err != nil {
-					errs[i] = fmt.Errorf("warehouse: wal append: %w", err)
+					errs[i] = err
 					continue
 				}
 				lsns[i] = lsn
-				if ferr := w.fi.Fire(faultinject.WALLogged); ferr != nil {
-					_ = w.wal.Abort(lsn)
-					errs[i] = ferr
-					continue
-				}
 				applicable = append(applicable, i)
 			}
 			g = applicable
@@ -168,25 +255,13 @@ func (w *Warehouse) ApplyDeltaBatch(ds []maintain.Delta) []error {
 	if w.wal == nil || len(pending) == 0 {
 		return errs
 	}
-	if ferr := w.fi.Fire(faultinject.BatchCommit); ferr != nil {
-		for _, i := range pending {
-			errs[i] = fmt.Errorf("warehouse: delta applied in memory but WAL commit failed (not durable): %w", ferr)
-		}
-		return errs
-	}
 	commit := make([]uint64, len(pending))
 	for k, i := range pending {
 		commit[k] = lsns[i]
 	}
-	var cerr error
-	if bc, ok := w.wal.(BatchCommitter); ok {
-		cerr = bc.CommitBatch(commit)
-	} else {
-		for _, lsn := range commit {
-			if cerr = w.wal.Commit(lsn); cerr != nil {
-				break
-			}
-		}
+	cerr := w.fi.Fire(faultinject.BatchCommit)
+	if cerr == nil {
+		cerr = w.wal.CommitBatch(commit)
 	}
 	if cerr != nil {
 		for _, i := range pending {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mindetail/internal/maintain"
 	"mindetail/internal/tuple"
@@ -113,29 +114,27 @@ func TestApplyDeltaBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrentSubmit hammers a pipeline with concurrent
-// submitters and checks the warehouse lands on the brute-force recomputed
-// state — every delta applied exactly once, none lost or doubled — and
-// that coalescing actually engaged.
-func TestPipelineConcurrentSubmit(t *testing.T) {
+// TestApplyDeltaConcurrentCallers hammers ApplyDelta with concurrent
+// callers and checks the warehouse lands on the serially applied state —
+// every delta applied exactly once, none lost or doubled — and that every
+// delta went through the group-commit batch accounting.
+func TestApplyDeltaConcurrentCallers(t *testing.T) {
 	w := newRetail(t)
-	p := NewPipeline(w, 8)
 
-	const submitters = 8
-	const perSubmitter = 10
+	const callers = 8
+	const perCaller = 10
 	var wg sync.WaitGroup
-	errCh := make(chan error, submitters*perSubmitter)
-	for s := 0; s < submitters; s++ {
+	errCh := make(chan error, callers*perCaller)
+	for s := 0; s < callers; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			for i := 0; i < perSubmitter; i++ {
-				errCh <- p.Submit(saleDelta(3000+s*100+i*3, 3))
+			for i := 0; i < perCaller; i++ {
+				errCh <- w.ApplyDelta(saleDelta(3000+s*100+i*3, 3))
 			}
 		}(s)
 	}
 	wg.Wait()
-	p.Close()
 	close(errCh)
 	for err := range errCh {
 		if err != nil {
@@ -143,42 +142,209 @@ func TestPipelineConcurrentSubmit(t *testing.T) {
 		}
 	}
 
-	// Submission order across goroutines is nondeterministic, but every
-	// delta inserts distinct keys with exact quarter prices, so the final
+	// Arrival order across goroutines is nondeterministic, but every delta
+	// inserts distinct keys with exact quarter prices, so the final
 	// aggregate is order-independent: a serial oracle applying the same
 	// deltas in any order must land on the same view.
 	oracle := newRetail(t)
-	for s := 0; s < submitters; s++ {
-		for i := 0; i < perSubmitter; i++ {
+	for s := 0; s < callers; s++ {
+		for i := 0; i < perCaller; i++ {
 			if err := oracle.ApplyDelta(saleDelta(3000+s*100+i*3, 3)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	if got, want := viewTotals(t, w), viewTotals(t, oracle); got != want {
-		t.Fatalf("pipelined view diverged from serial oracle\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("group-committed view diverged from serial oracle\ngot:\n%s\nwant:\n%s", got, want)
 	}
 
 	snap := w.MetricsSnapshot()
-	if snap.Counters["warehouse.batch.deltas"] != submitters*perSubmitter {
-		t.Fatalf("batch.deltas = %d, want %d", snap.Counters["warehouse.batch.deltas"], submitters*perSubmitter)
+	if snap.Counters["warehouse.batch.deltas"] != callers*perCaller {
+		t.Fatalf("batch.deltas = %d, want %d", snap.Counters["warehouse.batch.deltas"], callers*perCaller)
 	}
-	if err := p.Submit(saleDelta(0, 1)); err != ErrPipelineClosed {
-		t.Fatalf("Submit after Close = %v, want ErrPipelineClosed", err)
+	if w.commits.leading || len(w.commits.queue) != 0 {
+		t.Fatalf("combiner not idle after all callers returned: leading %v, %d queued",
+			w.commits.leading, len(w.commits.queue))
 	}
-	p.Close() // idempotent
 }
 
-// TestPipelineErrorPropagation verifies each submitter gets its own
-// delta's outcome even when batched with failures.
-func TestPipelineErrorPropagation(t *testing.T) {
-	w := newRetail(t)
-	p := NewPipeline(w, 4)
-	defer p.Close()
-	if err := p.Submit(maintain.Delta{Table: "nosuch"}); err == nil {
-		t.Fatal("unknown-table Submit succeeded")
+// gateLog is a ChangeLog whose commits (single or batched) each announce
+// themselves on entered and then wait for a token on release, so a test can
+// hold an ApplyDelta leader inside its commit while other callers queue
+// behind it.
+type gateLog struct {
+	entered, release chan struct{}
+
+	mu      sync.Mutex
+	next    uint64
+	commits int        // single-delta Commit calls
+	batches [][]uint64 // CommitBatch calls, in order
+}
+
+func newGateLog() *gateLog {
+	return &gateLog{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (l *gateLog) BeginDelta(maintain.Delta, bool) (uint64, error) { return l.begin(), nil }
+func (l *gateLog) BeginDDL(string) (uint64, error)                 { return l.begin(), nil }
+func (l *gateLog) Abort(uint64) error                              { return nil }
+
+func (l *gateLog) begin() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.next++
+	return l.next
+}
+
+func (l *gateLog) Commit(uint64) error {
+	l.entered <- struct{}{}
+	<-l.release
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.commits++
+	return nil
+}
+
+func (l *gateLog) CommitBatch(lsns []uint64) error {
+	l.entered <- struct{}{}
+	<-l.release
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.batches = append(l.batches, append([]uint64(nil), lsns...))
+	return nil
+}
+
+// waitQueued blocks until n ApplyDelta callers wait behind the current
+// leader.
+func waitQueued(t *testing.T, w *Warehouse, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w.commits.mu.Lock()
+		got := len(w.commits.queue)
+		w.commits.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers queued, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if err := p.Submit(saleDelta(4000, 2)); err != nil {
+}
+
+// applyAsync runs ApplyDelta on its own goroutine; the channel yields its
+// result.
+func applyAsync(w *Warehouse, d maintain.Delta) <-chan error {
+	ch := make(chan error, 1)
+	go func() { ch <- w.ApplyDelta(d) }()
+	return ch
+}
+
+// result waits for one applyAsync outcome.
+func result(t *testing.T, ch <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-ch:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("ApplyDelta did not return")
+		return nil
+	}
+}
+
+// TestApplyDeltaCombinesQueuedCallers holds a leader in its commit while k
+// callers queue, one of them naming an unknown table. Once released, the
+// k queued deltas form one batch: the valid ones commit in a single
+// CommitBatch, and only the bad caller sees an error.
+func TestApplyDeltaCombinesQueuedCallers(t *testing.T) {
+	w := newRetail(t)
+	log := newGateLog()
+	w.SetWAL(log)
+
+	leader := applyAsync(w, saleDelta(4000, 2))
+	<-log.entered
+	const k = 5
+	const bad = 2
+	queued := make([]<-chan error, k)
+	for i := range queued {
+		d := saleDelta(4100+i*10, 2)
+		if i == bad {
+			d = maintain.Delta{Table: "nosuch", Inserts: d.Inserts}
+		}
+		queued[i] = applyAsync(w, d)
+		waitQueued(t, w, i+1)
+	}
+
+	log.release <- struct{}{} // the leader's batch of one
+	if err := result(t, leader); err != nil {
 		t.Fatal(err)
+	}
+	<-log.entered // the first queued caller leads the rest
+	log.release <- struct{}{}
+	for i, ch := range queued {
+		err := result(t, ch)
+		if i == bad {
+			if err == nil || !strings.Contains(err.Error(), "unknown table nosuch") {
+				t.Fatalf("unknown-table caller: err = %v", err)
+			}
+		} else if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	if log.commits != 1 || len(log.batches) != 1 || len(log.batches[0]) != k-1 {
+		t.Fatalf("commits = %d, batches = %v; want 1 single commit and one batch of %d",
+			log.commits, log.batches, k-1)
+	}
+	if got := w.LSN(); got != log.batches[0][k-2] {
+		t.Fatalf("LSN = %d, want the batch's last %d", got, log.batches[0][k-2])
+	}
+	if h := w.MetricsSnapshot().Histograms["warehouse.batch.size"]; h.Count != 2 || h.SumNs != 1+k {
+		t.Fatalf("batch.size: %d batches, %d deltas; want 2 and %d", h.Count, h.SumNs, 1+k)
+	}
+}
+
+// TestApplyDeltaLeaderHandsOff checks that a leader returns once its own
+// batch is done, while the callers behind it are still waiting: it hands
+// leadership to the first of them and does not serve the queue itself.
+func TestApplyDeltaLeaderHandsOff(t *testing.T) {
+	w := newRetail(t)
+	log := newGateLog()
+	w.SetWAL(log)
+
+	first := applyAsync(w, saleDelta(5000, 1))
+	<-log.entered
+	second := applyAsync(w, saleDelta(5010, 1))
+	waitQueued(t, w, 1)
+
+	log.release <- struct{}{}
+	if err := result(t, first); err != nil {
+		t.Fatal(err)
+	}
+	// second now leads and waits in its own commit; a new arrival queues
+	// behind it instead of joining a batch already under way.
+	<-log.entered
+	third := applyAsync(w, saleDelta(5020, 1))
+	waitQueued(t, w, 1)
+	select {
+	case err := <-second:
+		t.Fatalf("second returned before its commit was released: %v", err)
+	default:
+	}
+
+	log.release <- struct{}{}
+	if err := result(t, second); err != nil {
+		t.Fatal(err)
+	}
+	<-log.entered
+	log.release <- struct{}{}
+	if err := result(t, third); err != nil {
+		t.Fatal(err)
+	}
+	if log.commits != 3 || len(log.batches) != 0 {
+		t.Fatalf("commits = %d, batches = %v; want three batches of one", log.commits, log.batches)
+	}
+	if w.commits.leading {
+		t.Fatal("combiner still has a leader after every caller returned")
 	}
 }

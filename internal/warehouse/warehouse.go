@@ -67,6 +67,7 @@ type viewSnap struct {
 // here so the warehouse stays free of any dependency on the log's on-disk
 // format.
 type ChangeLog interface {
+	BatchCommitter
 	// BeginDelta durably records the intent to apply d (srcApplied marks
 	// deltas that also mutate the source tables) and returns its LSN.
 	BeginDelta(d maintain.Delta, srcApplied bool) (uint64, error)
@@ -110,6 +111,9 @@ type Warehouse struct {
 	// advanced on every commit), readable lock-free via LSN().
 	wal ChangeLog
 	lsn atomic.Uint64
+
+	// commits is ApplyDelta's group commit (see batch.go).
+	commits combiner
 
 	// viewIdx is a copy-on-write index of views, republished (under mu)
 	// whenever a view is added, so Query can locate a view without taking
@@ -694,12 +698,8 @@ func (w *Warehouse) logAndPropagate(d maintain.Delta, srcApplied bool) error {
 	if w.wal == nil {
 		return w.propagate(d)
 	}
-	lsn, err := w.wal.BeginDelta(d, srcApplied)
+	lsn, err := w.logIntent(d, srcApplied)
 	if err != nil {
-		return fmt.Errorf("warehouse: wal append: %w", err)
-	}
-	if err := w.fi.Fire(faultinject.WALLogged); err != nil {
-		_ = w.wal.Abort(lsn)
 		return err
 	}
 	if err := w.propagate(d); err != nil {
@@ -714,6 +714,21 @@ func (w *Warehouse) logAndPropagate(d maintain.Delta, srcApplied bool) error {
 	}
 	w.lsn.Store(lsn)
 	return nil
+}
+
+// logIntent appends d's intent (durable per the log's policy) and fires
+// WALLogged, aborting the intent if the injection fails. The caller applies
+// d only when it returns nil.
+func (w *Warehouse) logIntent(d maintain.Delta, srcApplied bool) (uint64, error) {
+	lsn, err := w.wal.BeginDelta(d, srcApplied)
+	if err != nil {
+		return 0, fmt.Errorf("warehouse: wal append: %w", err)
+	}
+	if err := w.fi.Fire(faultinject.WALLogged); err != nil {
+		_ = w.wal.Abort(lsn)
+		return 0, err
+	}
+	return lsn, nil
 }
 
 // ReplayDelta re-applies a logged, committed delta during recovery: the
@@ -978,18 +993,6 @@ func (w *Warehouse) propagate(d maintain.Delta) error {
 		w.met.propagateNs.ObserveSince(start)
 	}
 	return fmt.Errorf("warehouse: %w", err)
-}
-
-// ApplyDelta propagates an externally produced delta (a change-log entry)
-// to every view. This is the only change path once sources are detached.
-// It is all-or-nothing across views: on error no view reflects the delta.
-func (w *Warehouse) ApplyDelta(d maintain.Delta) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.cat.Table(d.Table) == nil {
-		return fmt.Errorf("warehouse: unknown table %s", d.Table)
-	}
-	return w.logAndPropagate(d, false)
 }
 
 // ImportCSV bulk-loads CSV rows into a source table and propagates them to

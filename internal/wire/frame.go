@@ -59,8 +59,8 @@ const (
 	// KindQuery reads a materialized view through the lock-free snapshot
 	// path; the body names the version the client already holds.
 	KindQuery Kind = 4
-	// KindApply applies one externally produced delta through the server's
-	// group-commit pipeline.
+	// KindApply applies one externally produced delta through
+	// Warehouse.ApplyDelta, which group-commits concurrent applies.
 	KindApply Kind = 5
 	// KindApplyBatch applies a batch of deltas under one lock acquisition
 	// and one group commit.

@@ -34,9 +34,6 @@ type Config struct {
 	MaxInFlight int
 	// MaxFrame bounds a single request frame. <=0 selects DefaultMaxFrame.
 	MaxFrame int
-	// PipelineDepth is the group-commit batch ceiling for single-delta
-	// APPLY requests (<=0 selects warehouse.DefaultPipelineDepth).
-	PipelineDepth int
 	// HandshakeTimeout bounds the magic+Hello exchange. <=0 selects
 	// DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
@@ -72,14 +69,14 @@ type response struct {
 
 // Server is a concurrent TCP front end over one Warehouse. Reads (QUERY,
 // all-SELECT EXEC scripts) ride the warehouse's lock-free snapshot /
-// shared-lock paths and overlap freely; single-delta APPLY requests from
-// all sessions funnel into one group-commit Pipeline so WAL fsyncs
-// amortize across connections; batch APPLY uses ApplyDeltaBatch directly.
+// shared-lock paths and overlap freely; single-delta APPLY requests call
+// Warehouse.ApplyDelta on their handler goroutine, whose group commit
+// batches concurrent applies from all sessions so WAL fsyncs amortize
+// across connections; batch APPLY uses ApplyDeltaBatch directly.
 type Server struct {
-	w    *warehouse.Warehouse
-	pipe *warehouse.Pipeline
-	cfg  Config
-	ln   net.Listener
+	w   *warehouse.Warehouse
+	cfg Config
+	ln  net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -107,13 +104,12 @@ func Listen(w *warehouse.Warehouse, addr string, cfg Config) (*Server, error) {
 }
 
 // Serve starts a server on an existing listener. The server owns the
-// listener and its group-commit pipeline; Close releases both.
+// listener; Close releases it.
 func Serve(w *warehouse.Warehouse, ln net.Listener, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := w.ObsRegistry()
 	s := &Server{
 		w:     w,
-		pipe:  warehouse.NewPipeline(w, cfg.PipelineDepth),
 		cfg:   cfg,
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
@@ -135,9 +131,9 @@ func Serve(w *warehouse.Warehouse, ln net.Listener, cfg Config) *Server {
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Close stops accepting, severs every session's connection, waits for all
-// session goroutines to drain (in-flight requests run to completion and
-// their pipeline acks are consumed — never abandoned), then closes the
-// group-commit pipeline. Idempotent.
+// session goroutines to drain (in-flight requests, applies included, run
+// to completion and have their responses consumed — never abandoned).
+// Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	already := s.closed
@@ -155,7 +151,6 @@ func (s *Server) Close() error {
 		_ = c.Close()
 	}
 	s.wg.Wait()
-	s.pipe.Close()
 	return err
 }
 
@@ -206,7 +201,7 @@ func (s *Server) acceptLoop() {
 // and a writer that serializes response frames. On disconnect — graceful
 // or torn — every in-flight handler still runs to completion and has its
 // response consumed, so a dead client can neither leak a goroutine nor
-// abandon a group-commit ack.
+// abandon a group-committed apply.
 func (s *Server) session(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -365,7 +360,7 @@ func (s *Server) dispatch(req Frame, dst []byte) Frame {
 		if err != nil {
 			return fail(err)
 		}
-		if err := s.pipe.Submit(d); err != nil {
+		if err := s.w.ApplyDelta(d); err != nil {
 			return fail(err)
 		}
 		return Frame{Kind: KindOK, ID: req.ID}

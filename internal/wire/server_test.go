@@ -13,6 +13,7 @@ import (
 	"mindetail/internal/maintain"
 	"mindetail/internal/tuple"
 	"mindetail/internal/types"
+	"mindetail/internal/wal"
 	"mindetail/internal/warehouse"
 	"mindetail/internal/wire"
 	"mindetail/internal/wireclient"
@@ -158,7 +159,7 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("insert returned a relation: %v", rs)
 	}
 
-	// Apply a delta through the group-commit pipeline; the view absorbs it.
+	// Apply a delta through the group-committed APPLY path; the view absorbs it.
 	base := viewCount(t, w)
 	if err := c.ApplyDelta(saleInsert()); err != nil {
 		t.Fatalf("apply: %v", err)
@@ -271,7 +272,7 @@ func TestServerAdmissionControl(t *testing.T) {
 
 // TestServerDisconnectNoLeak is the satellite regression: clients that
 // vanish mid-request must not leak session goroutines or abandon
-// in-flight pipeline acks. It tears connections while requests are in
+// in-flight group-committed applies. It tears connections while requests are in
 // flight, closes the server, and requires the goroutine count to return
 // to its pre-server baseline.
 func TestServerDisconnectNoLeak(t *testing.T) {
@@ -321,7 +322,7 @@ func TestServerDisconnectNoLeak(t *testing.T) {
 		t.Fatalf("server close: %v", err)
 	}
 
-	// Every session, handler, writer, accept-loop, and pipeline goroutine
+	// Every session, handler, writer, and accept-loop goroutine
 	// must be gone. Poll: the runtime needs a moment to retire them.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -379,7 +380,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Every delta the pipeline committed made it into the view — acked or
+	// Every delta the warehouse committed made it into the view — acked or
 	// not, none were half-applied or dropped mid-drain.
 	committed := w.MetricsSnapshot().Counters["warehouse.batch.deltas"]
 	if got := viewCount(t, w); got != base+committed {
@@ -389,7 +390,7 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 
 // TestServerConcurrentSessions drives mixed traffic over many sessions and
 // cross-checks totals, exercising the per-session in-flight cap and the
-// shared pipeline under contention.
+// shared group commit under contention.
 func TestServerConcurrentSessions(t *testing.T) {
 	w := newServerWarehouse(t)
 	base := viewCount(t, w)
@@ -487,5 +488,94 @@ func TestOversizedResultAnsweredWithError(t *testing.T) {
 	defer fresh.Close()
 	if err := fresh.Ping(); err != nil {
 		t.Fatalf("ping on a fresh client: %v", err)
+	}
+}
+
+// TestServerDurableConcurrentApplies drives APPLYs from many sessions into
+// a warehouse logged with SyncCommit, so concurrent applies group-commit to
+// disk. Reopening the directory must recover every view equal to the live
+// one.
+func TestServerDurableConcurrentApplies(t *testing.T) {
+	dir := t.TempDir()
+	opts := wal.Options{Sync: wal.SyncCommit}
+	d, err := wal.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	w := d.Warehouse()
+	if _, err := w.Exec(`
+CREATE TABLE product (id INTEGER PRIMARY KEY, brand STRING MUTABLE, category STRING);
+CREATE TABLE sale (id INTEGER PRIMARY KEY, productid INTEGER REFERENCES product, qty INTEGER, price FLOAT MUTABLE);
+INSERT INTO product VALUES (1, 'acme', 'tools'), (2, 'zenith', 'toys'), (3, 'acme', 'toys');
+CREATE MATERIALIZED VIEW by_brand AS
+  SELECT brand, SUM(price) AS total, COUNT(*) AS cnt
+  FROM sale, product WHERE sale.productid = product.id GROUP BY brand;
+CREATE MATERIALIZED VIEW by_category AS
+  SELECT category, SUM(qty) AS q, COUNT(*) AS cnt
+  FROM sale, product WHERE sale.productid = product.id GROUP BY category;
+`); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, w, wire.Config{})
+
+	const nClients, perClient = 8, 12
+	var wg sync.WaitGroup
+	errCh := make(chan error, nClients)
+	for i := 0; i < nClients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := wireclient.Dial(s.Addr().String(), "")
+			if err != nil {
+				errCh <- err
+				return
+			}
+			defer c.Close()
+			for n := 0; n < perClient; n++ {
+				id := int64(100 + i*perClient + n)
+				if err := c.ApplyDelta(maintain.Delta{Table: "sale", Inserts: []tuple.Tuple{{
+					types.Int(id), types.Int(id%3 + 1), types.Int(id % 5), types.Float(float64(id%16) * 0.25),
+				}}}); err != nil {
+					errCh <- fmt.Errorf("apply: %w", err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Logf("%d applies in %d group commits", nClients*perClient,
+		w.MetricsSnapshot().Histograms["wal.groupcommit.batch"].Count)
+	views := w.ViewNames()
+	live := make([]string, len(views))
+	for i, v := range views {
+		rel, err := w.Query(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[i] = rel.Sorted().Format()
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = wal.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		rel, err := d.Warehouse().Query(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rel.Sorted().Format(); got != live[i] {
+			t.Fatalf("recovered %s diverged\ngot:\n%s\nwant:\n%s", v, got, live[i])
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // connection with synchronous request/response round trips; it is safe
 // for concurrent use (calls serialize on the connection). For concurrent
 // load, open one Client per goroutine — connections are cheap and the
-// server's group-commit pipeline batches across them.
+// warehouse group-commits concurrent APPLYs across them.
 //
 // A Client remembers the last result of every view it queried, with the
 // view's version, and asks the server only for what changed since: a
@@ -207,7 +207,8 @@ func (c *Client) Query(view string) (*wire.ResultSet, error) {
 }
 
 // ApplyDelta applies one externally produced delta through the server's
-// group-commit pipeline; it returns once the delta's outcome is known
+// Warehouse.ApplyDelta, which group-commits it with concurrent APPLYs from
+// other sessions; it returns once the delta's outcome is known
 // (committed across every view, durable per the server's WAL policy).
 func (c *Client) ApplyDelta(d maintain.Delta) error {
 	c.mu.Lock()
